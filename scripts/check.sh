@@ -30,6 +30,13 @@
 # SIGKILLed mid-append-stream, restarted on the same directory, and every
 # previously acked record must answer (`append --verify-from 0`).
 #
+# A multicore stress stage follows tier-1: the concurrency suites and the
+# ADTree trainer suites run 20 times in shuffled order on the standard
+# build. It exists for bugs no sanitizer reports, such as the RCU
+# retire/release ordering of DESIGN.md §13: a memory-ordering bug there
+# leaks snapshots without any data race, and shows only under repeated
+# runs on several cores.
+#
 #   scripts/check.sh            # all stages
 #   scripts/check.sh --no-tsan  # skip the TSan stage
 #   scripts/check.sh --no-asan  # skip the ASan+UBSan stage
@@ -54,6 +61,10 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
 
+echo "==> tier-1: stress (concurrency + trainer suites, repeated and shuffled, nproc=$(nproc))"
+./build/tests/yver_tests --gtest_repeat=20 --gtest_shuffle --gtest_brief=1 \
+    --gtest_filter='IndexManager*:ServicePublish*:Chaos*:Wal*:*Net*:Determinism*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*'
+
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"
   cmake -B build-tsan -S . -DYVER_SANITIZE=thread >/dev/null
@@ -73,7 +84,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # Wal* is the durability layer (DESIGN.md §14): group-commit batching
   # means concurrent appenders hand frames to a leader thread, so the
   # WAL unit and WAL-backed ingest suites run race-checked as well.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*'
+  # AdTreeTrainerTest*/ThreeClassTest*/AdTreeEquivalence* train on pools
+  # of 1, 2 and 8 workers: each (node, feature) task writes its own slot
+  # while reading the shared weights and columns (DESIGN.md §7).
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral

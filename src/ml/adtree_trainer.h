@@ -6,6 +6,7 @@
 
 #include "ml/adtree.h"
 #include "ml/instances.h"
+#include "util/thread_pool.h"
 
 namespace yver::ml {
 
@@ -34,8 +35,16 @@ struct AdTreeTrainerOptions {
 ///   - weights of affected instances are multiplied by exp(-y·prediction).
 /// Instances whose split feature is missing stay un-routed (counted in the
 /// residual W(¬p) term), matching the scorer's skip-on-missing semantics.
+///
+/// When `pool` is non-null (and has more than one worker) each round's
+/// (prediction node, feature) scans run across it. Every scan writes its
+/// own slot and the slots are reduced serially in (node, feature) order,
+/// with each weight sum adding the same terms in the same member order
+/// as the serial scan, so the trained tree is bit-identical for every
+/// pool size (DESIGN.md §7).
 AdTree TrainAdTree(const std::vector<Instance>& instances,
-                   const AdTreeTrainerOptions& options);
+                   const AdTreeTrainerOptions& options,
+                   util::ThreadPool* pool = nullptr);
 
 /// Three-class wrapper for the "Identify Maybe values" condition of
 /// Table 5: a binary match tree (Maybe treated as non-match) plus a
@@ -48,9 +57,11 @@ struct ThreeClassAdt {
   ExpertTag Predict(const features::FeatureVector& fv) const;
 };
 
-/// Trains the three-class model from tagged instances.
+/// Trains the three-class model from tagged instances; both trees train
+/// on `pool` as TrainAdTree does.
 ThreeClassAdt TrainThreeClass(const std::vector<Instance>& instances,
-                              const AdTreeTrainerOptions& options);
+                              const AdTreeTrainerOptions& options,
+                              util::ThreadPool* pool = nullptr);
 
 }  // namespace yver::ml
 

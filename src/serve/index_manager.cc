@@ -44,11 +44,14 @@ void IndexManager::PinnedIndex::Release() {
 
 void IndexManager::ReleasePin(size_t slot) const {
   Slot& s = slots_[slot];
-  uint64_t released = s.releases.fetch_add(1, std::memory_order_acq_rel) + 1;
+  // seq_cst, not acq_rel: this store→load pair mirrors Publish's
+  // limit-store → releases-load (DESIGN.md §13). With only acquire/release
+  // each side may miss the other's write, and then no one reclaims.
+  uint64_t released = s.releases.fetch_add(1, std::memory_order_seq_cst) + 1;
   // If the slot is retired and we were its last pinned reader, free it.
   // The publisher races this check from the retire side; MaybeReclaim is
   // idempotent under slots_mu_, so double reclaim attempts are benign.
-  if (released == s.limit.load(std::memory_order_acquire)) {
+  if (released == s.limit.load(std::memory_order_seq_cst)) {
     MaybeReclaim(slot);
   }
 }
@@ -114,10 +117,12 @@ util::StatusOr<uint64_t> IndexManager::Publish(
   publishes_.fetch_add(1, std::memory_order_relaxed);
   // Retire the old snapshot: fix its grant total so the release side
   // knows when it has fully drained, then reclaim right away if it
-  // already has.
+  // already has. Both operations are seq_cst so that this store→load and
+  // ReleasePin's releases-add → limit-load cannot both miss each other:
+  // either we see the last release or the last releaser sees our limit.
   Slot& old_s = slots_[old_slot];
-  old_s.limit.store(granted, std::memory_order_release);
-  if (old_s.releases.load(std::memory_order_acquire) == granted) {
+  old_s.limit.store(granted, std::memory_order_seq_cst);
+  if (old_s.releases.load(std::memory_order_seq_cst) == granted) {
     MaybeReclaim(old_slot);
   }
   return new_generation;

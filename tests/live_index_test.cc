@@ -174,28 +174,38 @@ TEST(IndexManagerTest, ReadersNeverBlockAcrossConcurrentPublishes) {
   // generations. Wait-freedom can't be asserted directly, but the
   // monotonicity contract can: each reader's observed generation never
   // decreases, and every pin is internally consistent.
+  // The writer starts only once every reader holds a pin, so each reader
+  // overlaps the publishes instead of arriving after the last one.
+  constexpr int kReaders = 4;
   IndexManager manager(MakeIndex(32, 64, 1));
   std::atomic<bool> stop{false};
+  std::atomic<int> pinned{0};
   std::atomic<uint64_t> acquired{0};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&] {
       uint64_t last = 0;
+      bool first = true;
       while (!stop.load(std::memory_order_relaxed)) {
         PinnedIndex pin = manager.Acquire();
         EXPECT_GE(pin.generation(), last);
         last = pin.generation();
         EXPECT_EQ(pin->num_records(), 32u);
         acquired.fetch_add(1, std::memory_order_relaxed);
+        if (first) {
+          first = false;
+          pinned.fetch_add(1);
+        }
       }
     });
   }
+  while (pinned.load() < kReaders) std::this_thread::yield();
   for (uint64_t i = 0; i < 200; ++i) {
     ASSERT_TRUE(manager.Publish(MakeIndex(32, 64, i + 2)).ok());
   }
   stop.store(true);
   for (auto& t : readers) t.join();
-  EXPECT_GT(acquired.load(), 0u);
+  EXPECT_GE(acquired.load(), static_cast<uint64_t>(kReaders));
   EXPECT_EQ(manager.pinned_readers(), 0u);
   EXPECT_EQ(manager.retained_snapshots(), 1u)
       << "all retired generations must be reclaimed once readers drain";
