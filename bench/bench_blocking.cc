@@ -4,7 +4,9 @@
 // sweep asserts output identity between the serial and every parallel run
 // (the blocking determinism contract) before reporting any number, and
 // writes a JSON record (--out) so the repo can track the perf trajectory
-// (BENCH_blocking.json).
+// (BENCH_blocking.json). The record starts with a host fingerprint (nproc,
+// CPU model, kernel, git sha of the source tree), since pairs/sec and the
+// speedup are only comparable between runs on the same host.
 //
 //   bench_blocking [--persons N] [--maxminsup K] [--ng G]
 //                  [--threads T1,T2,...] [--out bench.json]
@@ -12,11 +14,14 @@
 // On a single-core host the speedup is ~1.0x by construction; the
 // identity assertion is the part that must hold everywhere.
 
+#include <sys/utsname.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "blocking/mfi_blocks.h"
@@ -76,6 +81,56 @@ Options ParseOptions(int argc, char** argv) {
     }
   }
   return options;
+}
+
+struct Fingerprint {
+  unsigned nproc = 0;
+  std::string cpu_model = "unknown";
+  std::string kernel = "unknown";
+  std::string git_sha = "unknown";
+};
+
+std::string Trim(const std::string& s) {
+  size_t begin = s.find_first_not_of(" \t\n");
+  if (begin == std::string::npos) return "";
+  return s.substr(begin, s.find_last_not_of(" \t\n") - begin + 1);
+}
+
+// JSON string body: drops the characters that would need escaping.
+std::string JsonSafe(std::string s) {
+  std::erase_if(s, [](char c) {
+    return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+  });
+  return s;
+}
+
+Fingerprint HostFingerprint() {
+  Fingerprint fp;
+  fp.nproc = std::thread::hardware_concurrency();
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) == 0 && line.find(':') != line.npos) {
+      fp.cpu_model = JsonSafe(Trim(line.substr(line.find(':') + 1)));
+      break;
+    }
+  }
+  struct utsname uts;
+  if (uname(&uts) == 0) fp.kernel = JsonSafe(uts.release);
+  // The HEAD sha of the tree this binary was built from, suffixed
+  // "-dirty" when the tree has uncommitted changes ("unknown" outside a
+  // git checkout).
+  std::string cmd =
+      std::string("git -C '") + YVER_SOURCE_DIR +
+      "' describe --always --dirty --abbrev=40 2>/dev/null";
+  if (FILE* pipe = popen(cmd.c_str(), "r")) {
+    char buf[64] = {};
+    if (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+      std::string sha = JsonSafe(Trim(buf));
+      if (!sha.empty()) fp.git_sha = sha;
+    }
+    pclose(pipe);
+  }
+  return fp;
 }
 
 struct SweepPoint {
@@ -161,11 +216,13 @@ int main(int argc, char** argv) {
               sweep.back().threads, speedup);
 
   if (!options.out.empty()) {
+    const Fingerprint host = HostFingerprint();
     std::ofstream out(options.out);
     out << "{\n"
         << "  \"bench\": \"blocking\",\n"
-        << "  \"host_hardware_threads\": "
-        << util::ResolveNumThreads(0) << ",\n"
+        << "  \"host\": {\"nproc\": " << host.nproc << ", \"cpu_model\": \""
+        << host.cpu_model << "\", \"kernel\": \"" << host.kernel
+        << "\", \"git_sha\": \"" << host.git_sha << "\"},\n"
         << "  \"corpus_records\": " << generated.dataset.size() << ",\n"
         << "  \"distinct_items\": " << encoded.dictionary.size() << ",\n"
         << "  \"max_minsup\": " << options.max_minsup << ",\n"

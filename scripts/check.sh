@@ -30,9 +30,9 @@
 # SIGKILLed mid-append-stream, restarted on the same directory, and every
 # previously acked record must answer (`append --verify-from 0`).
 #
-# A multicore stress stage follows tier-1: the concurrency suites and the
-# ADTree trainer suites run 20 times in shuffled order on the standard
-# build. It exists for bugs no sanitizer reports, such as the RCU
+# A multicore stress stage follows tier-1: the concurrency suites, the
+# ADTree trainer suites and the miner equivalence suite run 20 times in
+# shuffled order on the standard build. It exists for bugs no sanitizer reports, such as the RCU
 # retire/release ordering of DESIGN.md §13: a memory-ordering bug there
 # leaks snapshots without any data race, and shows only under repeated
 # runs on several cores.
@@ -61,9 +61,9 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
 
-echo "==> tier-1: stress (concurrency + trainer suites, repeated and shuffled, nproc=$(nproc))"
+echo "==> tier-1: stress (concurrency + trainer + miner suites, repeated and shuffled, nproc=$(nproc))"
 ./build/tests/yver_tests --gtest_repeat=20 --gtest_shuffle --gtest_brief=1 \
-    --gtest_filter='IndexManager*:ServicePublish*:Chaos*:Wal*:*Net*:Determinism*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*'
+    --gtest_filter='IndexManager*:ServicePublish*:Chaos*:Wal*:*Net*:Determinism*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:MinerEquivalence*'
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"
@@ -87,7 +87,12 @@ if [[ "$run_tsan" == 1 ]]; then
   # AdTreeTrainerTest*/ThreeClassTest*/AdTreeEquivalence* train on pools
   # of 1, 2 and 8 workers: each (node, feature) task writes its own slot
   # while reading the shared weights and columns (DESIGN.md §7).
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*'
+  # FpGrowth*/FpTree*/MinerEquivalence* mine on pools of 1, 2 and 8: the
+  # per-rank tasks read the shared arena tree, and the maximality filter
+  # reads every candidate while each task writes its own keep slot
+  # (DESIGN.md §9). InvertedIndex*/MinThreshold* cover the galloping
+  # support recount and the chunked sparse-neighborhood scan.
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:FpGrowth*:FpTree*:MinerEquivalence*:InvertedIndex*:MinThreshold*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral
@@ -217,7 +222,11 @@ if [[ "$run_asan" == 1 ]]; then
   # fuzz walk raw offsets over deliberately corrupted segment bytes, which
   # is exactly what ASan+UBSan exist to pin down; Gazetteer* covers the
   # owned-resolver lifetime contract the serving path depends on.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*'
+  # FpTree*/FpGrowth*/MinerEquivalence*/*MfiBlocks* cover the arena
+  # FP-tree, whose nodes link by raw uint32_t indices, and the CSR
+  # postings of the maximality filter; InvertedIndex* the galloping
+  # cursors' pointer arithmetic.
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:FpTree*:FpGrowth*:MinerEquivalence*:InvertedIndex*:*MfiBlocks*'
 fi
 
 echo "==> all checks passed"

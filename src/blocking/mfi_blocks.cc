@@ -159,7 +159,7 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
 
     // Sparse-neighborhood condition: derive minTh and filter.
     timer.Reset();
-    double min_th = ComputeMinThreshold(blocks, n, config.ng, minsup);
+    double min_th = ComputeMinThreshold(blocks, n, config.ng, minsup, pool);
     std::vector<Block> kept;
     kept.reserve(blocks.size());
     for (auto& b : blocks) {

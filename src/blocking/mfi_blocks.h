@@ -97,10 +97,11 @@ struct MfiBlocksResult {
 /// and emits candidate pairs.
 ///
 /// `pool` parallelizes the whole stage (it stands in for the paper's
-/// Spark cluster): MFI mining runs per conditional-tree rank, support
-/// recomputation and block scoring run per block, and candidate-pair
-/// emission builds per-chunk local pair maps that are merged in chunk
-/// order. Per-minsup iterations stay serial, as Algorithm 1's coverage
+/// Spark cluster): MFI mining runs per conditional-tree rank and its
+/// maximality filter per candidate, support recomputation and block
+/// scoring run per block, the sparse-neighborhood threshold runs per
+/// record chunk, and candidate-pair emission builds per-chunk local pair
+/// maps that are merged in chunk order. Per-minsup iterations stay serial, as Algorithm 1's coverage
 /// loop requires. Determinism contract: the returned MfiBlocksResult is
 /// byte-identical for every pool size including nullptr — every parallel
 /// substage writes into index-addressed slots or merges in a

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "blocking/block.h"
+#include "util/thread_pool.h"
 
 namespace yver::blocking {
 
@@ -29,8 +30,13 @@ size_t NgCap(double ng, uint32_t minsup);
 ///
 /// Returns the minimal threshold; blocks with score <= threshold violate
 /// the SN condition for at least one record.
+///
+/// With a `pool`, records are scanned in parallel chunks whose maxima are
+/// combined afterwards; max is exact in any order, so the threshold is
+/// identical for every pool size.
 double ComputeMinThreshold(const std::vector<Block>& blocks,
-                           size_t num_records, double ng, uint32_t minsup);
+                           size_t num_records, double ng, uint32_t minsup,
+                           util::ThreadPool* pool = nullptr);
 
 /// Neighborhood size helper: number of distinct records co-blocked with
 /// each record across `blocks` (only counting blocks with score >

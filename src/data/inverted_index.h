@@ -22,8 +22,10 @@ class InvertedIndex {
     return postings_[item];
   }
 
-  /// Records containing every item of `itemset` (sorted ascending). The
-  /// intersection is evaluated smallest-posting-first.
+  /// Records containing every item of `itemset` (sorted ascending). Walks
+  /// the rarest item's postings and gallops through the others with
+  /// forward-only cursors, without copying any list. Duplicate items in
+  /// `itemset` are allowed.
   std::vector<RecordIdx> Support(const std::vector<ItemId>& itemset) const;
 
   size_t num_items() const { return postings_.size(); }

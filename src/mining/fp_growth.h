@@ -37,17 +37,19 @@ std::vector<FrequentItemset> MineFrequentItemsets(
 /// FPMax-style subsumption pruning: a branch whose head ∪ tail is contained
 /// in a known MFI cannot yield a new maximal set and is skipped.
 ///
-/// When `pool` is non-null, the conditional FP-trees of the initial tree's
-/// frequent-item ranks are mined in parallel (each rank's projection is
-/// independent), per-rank itemset vectors are concatenated in the serial
-/// rank order, and a maximality filter removes cross-rank subsumed sets.
-/// The returned vector — contents AND order — is identical for every pool
-/// size including nullptr: it equals the serial FPMax output (the filter
-/// discards exactly the candidates the serial global store would have
-/// pruned). One caveat: with a non-zero `max_itemsets` cap the parallel
-/// decomposition applies the cap per rank and then truncates the merged
-/// list, so a capped run may return a different (still deterministic)
-/// subset than the pre-parallel serial implementation did.
+/// Each frequent-item rank of the initial tree is mined as its own task
+/// (in parallel when `pool` is non-null; each rank's projection is
+/// independent) into a task-local store, and the task outputs are
+/// concatenated in the serial rank order, least frequent rank first, as
+/// c_0..c_{m-1}. A maximality filter then keeps c_i iff no c_j with j < i
+/// has c_i ⊆ c_j and no c_j has c_i ⊊ c_j. It evaluates that predicate
+/// per candidate, on the pool when there is one. This keeps exactly what
+/// the serial FPMax store keeps, in its discovery order, so the returned
+/// vector (contents and order) is identical for every pool size including
+/// nullptr. One caveat: a non-zero `max_itemsets` cap applies per rank and
+/// then truncates the filtered list, so a capped run may return a
+/// different (still deterministic) subset than a single serial store
+/// would.
 std::vector<FrequentItemset> MineMaximalItemsets(
     const std::vector<data::ItemBag>& transactions,
     const MinerOptions& options, util::ThreadPool* pool = nullptr);

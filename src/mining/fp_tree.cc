@@ -4,48 +4,41 @@
 
 namespace yver::mining {
 
-FpTree::FpTree(uint32_t num_ranks)
-    : headers_(num_ranks, nullptr), rank_support_(num_ranks, 0) {
-  root_ = NewNode(kRootRank, nullptr);
-}
-
-FpTree::Node* FpTree::NewNode(uint32_t rank, Node* parent) {
-  nodes_.push_back(std::make_unique<Node>());
-  Node* n = nodes_.back().get();
-  n->rank = rank;
-  n->parent = parent;
-  return n;
+void FpTree::Reset(uint32_t num_ranks, size_t node_capacity) {
+  headers_.assign(num_ranks, kNone);
+  rank_support_.assign(num_ranks, 0);
+  nodes_.clear();
+  nodes_.reserve(node_capacity + 1);
+  nodes_.push_back(Node{kRootRank});
 }
 
 void FpTree::Insert(const std::vector<uint32_t>& ranks, uint32_t count) {
-  Node* cur = root_;
+  uint32_t cur = kRoot;
   for (uint32_t rank : ranks) {
     YVER_CHECK(rank < headers_.size());
     rank_support_[rank] += count;
     // Find a child with this rank.
-    Node* child = cur->first_child;
-    while (child != nullptr && child->rank != rank) {
-      child = child->next_sibling;
+    uint32_t child = nodes_[cur].first_child;
+    while (child != kNone && nodes_[child].rank != rank) {
+      child = nodes_[child].next_sibling;
     }
-    if (child == nullptr) {
-      child = NewNode(rank, cur);
-      child->next_sibling = cur->first_child;
-      cur->first_child = child;
-      child->next_in_header = headers_[rank];
+    if (child == kNone) {
+      YVER_CHECK(nodes_.size() < UINT32_MAX);
+      child = static_cast<uint32_t>(nodes_.size());
+      nodes_.push_back(Node{rank, 0, cur, kNone, nodes_[cur].first_child,
+                            headers_[rank]});
+      nodes_[cur].first_child = child;
       headers_[rank] = child;
     }
-    child->count += count;
+    nodes_[child].count += count;
     cur = child;
   }
 }
 
 bool FpTree::IsSinglePath() const {
-  const Node* cur = root_;
-  while (cur != nullptr) {
-    if (cur->first_child != nullptr && cur->first_child->next_sibling) {
-      return false;
-    }
-    cur = cur->first_child;
+  for (uint32_t cur = nodes_[kRoot].first_child; cur != kNone;
+       cur = nodes_[cur].first_child) {
+    if (nodes_[cur].next_sibling != kNone) return false;
   }
   return true;
 }
@@ -53,10 +46,9 @@ bool FpTree::IsSinglePath() const {
 std::vector<std::pair<uint32_t, uint32_t>> FpTree::SinglePath() const {
   YVER_CHECK(IsSinglePath());
   std::vector<std::pair<uint32_t, uint32_t>> path;
-  const Node* cur = root_->first_child;
-  while (cur != nullptr) {
-    path.emplace_back(cur->rank, cur->count);
-    cur = cur->first_child;
+  for (uint32_t cur = nodes_[kRoot].first_child; cur != kNone;
+       cur = nodes_[cur].first_child) {
+    path.emplace_back(nodes_[cur].rank, nodes_[cur].count);
   }
   return path;
 }

@@ -1,8 +1,9 @@
 #ifndef YVER_MINING_FP_TREE_H_
 #define YVER_MINING_FP_TREE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "data/item_dictionary.h"
@@ -16,36 +17,42 @@ namespace yver::mining {
 /// Items inside the tree are *ranks*: dense indices assigned by descending
 /// frequency of the frequent items of the underlying transaction set. The
 /// owner (FP-Growth) keeps the rank -> ItemId mapping.
+///
+/// Nodes live in one contiguous arena and link to each other by index.
+/// Index 0 is the root; since the root is never a child, a sibling or a
+/// header-chain member, index 0 doubles as the null link (`kNone`) for
+/// every link but `parent`, where it means "the root".
 class FpTree {
  public:
-  struct Node {
-    uint32_t rank;           // item rank; kRootRank for the root
-    uint32_t count = 0;      // transactions through this node
-    Node* parent = nullptr;  // nullptr for root
-    Node* next_sibling = nullptr;   // first-child/next-sibling chain
-    Node* first_child = nullptr;
-    Node* next_in_header = nullptr;  // header-table chain for this rank
-  };
-
+  static constexpr uint32_t kNone = 0;
+  static constexpr uint32_t kRoot = 0;
   static constexpr uint32_t kRootRank = UINT32_MAX;
 
-  /// Creates an empty tree with `num_ranks` distinct item ranks.
-  explicit FpTree(uint32_t num_ranks);
+  struct Node {
+    uint32_t rank;                 // item rank; kRootRank for the root
+    uint32_t count = 0;            // transactions through this node
+    uint32_t parent = kRoot;       // the root is its own parent
+    uint32_t first_child = kNone;  // first-child/next-sibling chain
+    uint32_t next_sibling = kNone;
+    uint32_t next_in_header = kNone;  // header-table chain for this rank
+  };
 
-  FpTree(const FpTree&) = delete;
-  FpTree& operator=(const FpTree&) = delete;
-  FpTree(FpTree&&) = default;
-  FpTree& operator=(FpTree&&) = default;
+  /// Creates an empty tree with `num_ranks` distinct item ranks.
+  explicit FpTree(uint32_t num_ranks) { Reset(num_ranks); }
+
+  /// Empties the tree and re-sizes it for `num_ranks` ranks, keeping the
+  /// node storage for reuse and reserving room for `node_capacity` nodes
+  /// besides the root.
+  void Reset(uint32_t num_ranks, size_t node_capacity = 0);
 
   /// Inserts a transaction given as ranks sorted ascending (most frequent
   /// first), with multiplicity `count`.
   void Insert(const std::vector<uint32_t>& ranks, uint32_t count);
 
-  /// Root node (never null).
-  const Node* root() const { return root_; }
+  const Node& node(uint32_t index) const { return nodes_[index]; }
 
-  /// Head of the header chain for a rank (may be null).
-  const Node* Header(uint32_t rank) const { return headers_[rank]; }
+  /// Head of the header chain for a rank (kNone when empty).
+  uint32_t Header(uint32_t rank) const { return headers_[rank]; }
 
   /// Total support of a rank across the tree.
   uint32_t RankSupport(uint32_t rank) const { return rank_support_[rank]; }
@@ -64,11 +71,8 @@ class FpTree {
   size_t num_nodes() const { return nodes_.size(); }
 
  private:
-  Node* NewNode(uint32_t rank, Node* parent);
-
-  std::vector<std::unique_ptr<Node>> nodes_;  // owns all nodes incl. root
-  Node* root_ = nullptr;
-  std::vector<Node*> headers_;
+  std::vector<Node> nodes_;  // nodes_[kRoot] is the root
+  std::vector<uint32_t> headers_;
   std::vector<uint32_t> rank_support_;
 };
 
