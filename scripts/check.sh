@@ -225,8 +225,11 @@ if [[ "$run_asan" == 1 ]]; then
   # FpTree*/FpGrowth*/MinerEquivalence*/*MfiBlocks* cover the arena
   # FP-tree, whose nodes link by raw uint32_t indices, and the CSR
   # postings of the maximality filter; InvertedIndex* the galloping
-  # cursors' pointer arithmetic.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:FpTree*:FpGrowth*:MinerEquivalence*:InvertedIndex*:*MfiBlocks*'
+  # cursors' pointer arithmetic. FormatPin*, CaptureFile* and
+  # *ResolutionIndex* drive the shared util/byte_codec.h reader, whose
+  # bounds checks are raw offset arithmetic, through the byte pins, the
+  # capture loader and the .yvx loader.
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:FpTree*:FpGrowth*:MinerEquivalence*:InvertedIndex*:*MfiBlocks*:FormatPin*:CaptureFile*:*ResolutionIndex*'
 fi
 
 echo "==> all checks passed"

@@ -8,6 +8,7 @@
 #include "blocking/neighborhood.h"
 #include "data/inverted_index.h"
 #include "mining/fp_growth.h"
+#include "util/byte_codec.h"
 #include "util/check.h"
 #include "util/timer.h"
 
@@ -15,13 +16,14 @@ namespace yver::blocking {
 
 namespace {
 
-// Hashes a sorted record set for block deduplication.
+// Hashes a sorted record set for block deduplication: FNV-1a's constants
+// folded over whole record indices rather than bytes.
 struct RecordSetHash {
   size_t operator()(const std::vector<data::RecordIdx>& v) const {
-    uint64_t h = 0xcbf29ce484222325ULL;
+    uint64_t h = util::Fnv1a::kOffsetBasis;
     for (data::RecordIdx r : v) {
       h ^= r;
-      h *= 0x100000001b3ULL;
+      h *= util::Fnv1a::kPrime;
     }
     return static_cast<size_t>(h);
   }

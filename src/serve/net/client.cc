@@ -44,15 +44,10 @@ util::Deadline Client::EffectiveDeadline(
   return util::Deadline::AfterMillis(read_timeout_ms_);
 }
 
-util::StatusOr<std::string> Client::ReadFrameBytes(
-    const util::Deadline& deadline) {
-  // Header first: PeekFrameHeader validates the whole envelope (magic,
-  // version, type, declared length bound) from the 8 header bytes, so a
-  // hostile length field is rejected before a single payload byte is
-  // reserved or awaited — the same pre-allocation check the server runs.
-  util::Deadline budget = EffectiveDeadline(deadline);
+util::StatusOr<std::string> ReadFrame(util::Socket& sock,
+                                      const util::Deadline& deadline) {
   std::string frame(wire::kHeaderSize, '\0');
-  util::Status st = sock_.ReadFull(frame.data(), wire::kHeaderSize, budget);
+  util::Status st = sock.ReadFull(frame.data(), wire::kHeaderSize, deadline);
   if (!st.ok()) return st;
   wire::FrameHeader header;
   auto peeked = wire::PeekFrameHeader(frame, &header);
@@ -60,10 +55,15 @@ util::StatusOr<std::string> Client::ReadFrameBytes(
   size_t off = frame.size();
   frame.resize(off + header.payload_length);
   if (header.payload_length > 0) {
-    st = sock_.ReadFull(frame.data() + off, header.payload_length, budget);
+    st = sock.ReadFull(frame.data() + off, header.payload_length, deadline);
     if (!st.ok()) return st;
   }
   return frame;
+}
+
+util::StatusOr<std::string> Client::ReadFrameBytes(
+    const util::Deadline& deadline) {
+  return ReadFrame(sock_, EffectiveDeadline(deadline));
 }
 
 util::StatusOr<QueryResult> Client::ReadResult(

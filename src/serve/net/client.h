@@ -13,6 +13,15 @@
 
 namespace yver::serve::net {
 
+/// Reads one whole frame (header + payload) from a blocking socket,
+/// bounded by `deadline`. PeekFrameHeader validates the whole envelope
+/// (magic, version, type, declared length bound) from the 8 header bytes,
+/// so a hostile length field is rejected before a single payload byte is
+/// reserved or awaited — the same pre-allocation check the server runs.
+/// UNAVAILABLE when the peer closed the connection first.
+util::StatusOr<std::string> ReadFrame(util::Socket& sock,
+                                      const util::Deadline& deadline);
+
 /// A blocking wire client for one connection to a serve::net::Server.
 ///
 /// The API splits sends from receives so callers can pipeline: any number

@@ -11,6 +11,7 @@
 #include "serve/net/replay.h"
 #include "serve/query.h"
 #include "serve/wire.h"
+#include "util/byte_codec.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -18,25 +19,13 @@ namespace yver::serve::net {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
-
-uint64_t FnvMix(uint64_t hash, const void* data, size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    hash ^= p[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
 /// What one connection worker accumulates; merged in connection order
 /// after join, so the totals are deterministic.
 struct ConnStats {
   uint64_t sent = 0;
   uint64_t ok = 0;
   uint64_t errors = 0;
-  uint64_t hash = kFnvOffset;  // FNV-1a over raw response frames, in order
+  util::Fnv1a hash;  // over raw response frames, in order
   std::vector<uint64_t> hist =
       std::vector<uint64_t>(kServiceLatencyBuckets, 0);
   util::Status status = util::Status::Ok();  // first hard failure
@@ -51,7 +40,7 @@ void RecordLatencyNs(ConnStats& stats, uint64_t ns) {
 /// Classifies a raw response frame by its type byte and folds it into the
 /// per-connection hash and counters.
 void BookResponse(ConnStats& stats, const std::string& frame) {
-  stats.hash = FnvMix(stats.hash, frame.data(), frame.size());
+  stats.hash.Update(frame.data(), frame.size());
   if (frame.size() > 3 &&
       static_cast<uint8_t>(frame[3]) ==
           static_cast<uint8_t>(wire::FrameType::kError)) {
@@ -258,7 +247,7 @@ util::StatusOr<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
   LoadGenReport report;
   report.wall_seconds = wall_seconds;
   report.latency_histogram_ns.assign(kServiceLatencyBuckets, 0);
-  report.response_hash = kFnvOffset;
+  util::Fnv1a response_hash;
   for (size_t c = 0; c < connections; ++c) {
     if (!stats[c].status.ok()) return stats[c].status;
     report.queries_sent += stats[c].sent;
@@ -268,9 +257,9 @@ util::StatusOr<LoadGenReport> RunLoadGen(const LoadGenOptions& options) {
       report.latency_histogram_ns[b] += stats[c].hist[b];
     }
     // Connection-order combine: scheduling cannot reorder it.
-    report.response_hash =
-        FnvMix(report.response_hash, &stats[c].hash, sizeof(stats[c].hash));
+    util::PutLe<uint64_t>(&response_hash, stats[c].hash.digest());
   }
+  report.response_hash = response_hash.digest();
   report.qps_achieved =
       wall_seconds > 0
           ? static_cast<double>(report.queries_sent) / wall_seconds

@@ -49,7 +49,8 @@ class CaptureWriter {
 };
 
 /// Reads a capture back as one raw frame per entry, validating the header
-/// and every frame (magic, version, type, length) on the way in.
+/// and every frame (magic, version, type, length) on the way in. Only
+/// wire::kVersion captures load; any other version is INVALID_ARGUMENT.
 /// NOT_FOUND when the file cannot be opened, INVALID_ARGUMENT on a bad
 /// header or a non-query frame, DATA_LOSS on a truncated tail.
 util::StatusOr<std::vector<std::string>> LoadCapture(

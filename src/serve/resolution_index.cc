@@ -5,8 +5,11 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <sstream>
+#include <string_view>
 
 #include "util/atomic_io.h"
+#include "util/byte_codec.h"
 #include "util/check.h"
 #include "util/fault_injector.h"
 
@@ -14,61 +17,44 @@ namespace yver::serve {
 
 namespace {
 
-// Artifact layout (little-endian, no padding):
+// Artifact layout (no padding; integers little-endian and doubles as
+// IEEE-754 bit patterns, both packed by util/byte_codec.h):
 //   8 bytes  magic "YVERIDX1"
 //   u64      num_records
 //   u64      num_matches
 //   repeated u32 a, u32 b, f64 confidence, f64 block_score
-//   u64      FNV-1a checksum of everything after the magic
+//   u64      FNV-1a digest of everything between the magic and the digest
 constexpr char kMagic[8] = {'Y', 'V', 'E', 'R', 'I', 'D', 'X', '1'};
+constexpr size_t kMatchBytes = 4 + 4 + 8 + 8;
 
-class Fnv1a {
- public:
-  void Update(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  uint64_t digest() const { return hash_; }
+// The artifact body, field by field in file order. Checksum, Save and Load
+// all go through these two walks, so they cannot disagree on the layout.
+// `io` is handed each field by reference and returns false to stop the
+// walk (a short read); a writer always returns true.
+template <typename Io>
+bool WalkCounts(Io& io, uint64_t& num_records, uint64_t& num_matches) {
+  return io(num_records) && io(num_matches);
+}
 
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+template <typename Io, typename Match>
+bool WalkMatch(Io& io, Match& m) {
+  return io(m.pair.a) && io(m.pair.b) && io(m.confidence) &&
+         io(m.block_score);
+}
 
-class Writer {
- public:
-  explicit Writer(std::ofstream& f) : f_(f) {}
-  template <typename T>
-  void Put(T v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    f_.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    fnv_.Update(&v, sizeof(v));
-  }
-  uint64_t digest() const { return fnv_.digest(); }
-
- private:
-  std::ofstream& f_;
-  Fnv1a fnv_;
-};
-
-class Reader {
- public:
-  explicit Reader(std::ifstream& f) : f_(f) {}
-  template <typename T>
-  bool Get(T* v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (!f_.read(reinterpret_cast<char*>(v), sizeof(*v))) return false;
-    fnv_.Update(v, sizeof(*v));
+/// Puts the body of an index with `num_records` records and `arena` into
+/// `sink`: a byte buffer for Save, a streaming Fnv1a for Checksum.
+template <typename Sink>
+void PutBody(uint64_t num_records, const std::vector<core::RankedMatch>& arena,
+             Sink* sink) {
+  auto put = [sink](const auto& v) {
+    util::PutLe(sink, v);
     return true;
-  }
-  uint64_t digest() const { return fnv_.digest(); }
-
- private:
-  std::ifstream& f_;
-  Fnv1a fnv_;
-};
+  };
+  uint64_t num_matches = arena.size();
+  WalkCounts(put, num_records, num_matches);
+  for (const core::RankedMatch& m : arena) WalkMatch(put, m);
+}
 
 }  // namespace
 
@@ -136,18 +122,10 @@ core::EntityClusters ResolutionIndex::ClustersAt(double certainty) const {
 }
 
 uint64_t ResolutionIndex::Checksum() const {
-  // Must hash exactly the byte sequence Save writes after the magic, so
-  // Checksum() equals the digest embedded in the artifact.
-  Fnv1a fnv;
-  auto put = [&fnv](auto v) { fnv.Update(&v, sizeof(v)); };
-  put(static_cast<uint64_t>(num_records_));
-  put(static_cast<uint64_t>(arena_.size()));
-  for (const auto& m : arena_) {
-    put(static_cast<uint32_t>(m.pair.a));
-    put(static_cast<uint32_t>(m.pair.b));
-    put(m.confidence);
-    put(m.block_score);
-  }
+  // Streams the body into the hash without building it: the server calls
+  // this on every info request.
+  util::Fnv1a fnv;
+  PutBody(num_records_, arena_, &fnv);
   return fnv.digest();
 }
 
@@ -161,23 +139,12 @@ util::Status ResolutionIndex::Save(const std::string& path) const {
       util::FaultInjector::Global().InjectIo(util::FaultPoint::kIndexSave);
   if (!injected.ok()) return injected;
   std::string bytes;
-  bytes.reserve(sizeof(kMagic) + 16 + arena_.size() * 24 + 8);
+  bytes.reserve(sizeof(kMagic) + 16 + arena_.size() * kMatchBytes + 8);
   bytes.append(kMagic, sizeof(kMagic));
-  Fnv1a fnv;
-  auto put = [&bytes, &fnv](auto v) {
-    bytes.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    fnv.Update(&v, sizeof(v));
-  };
-  put(static_cast<uint64_t>(num_records_));
-  put(static_cast<uint64_t>(arena_.size()));
-  for (const auto& m : arena_) {
-    put(static_cast<uint32_t>(m.pair.a));
-    put(static_cast<uint32_t>(m.pair.b));
-    put(m.confidence);
-    put(m.block_score);
-  }
-  uint64_t digest = fnv.digest();
-  bytes.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  PutBody(num_records_, arena_, &bytes);
+  uint64_t digest =
+      util::Fnv1aOf(std::string_view(bytes).substr(sizeof(kMagic)));
+  util::PutLe<uint64_t>(&bytes, digest);
   return util::WriteFileAtomic(path, bytes);
 }
 
@@ -188,48 +155,54 @@ util::StatusOr<ResolutionIndex> ResolutionIndex::Load(
   util::Status injected =
       util::FaultInjector::Global().InjectIo(util::FaultPoint::kIndexLoadOpen);
   if (!injected.ok()) return injected;
-  char magic[sizeof(kMagic)];
-  if (!f.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  std::ostringstream contents;
+  contents << f.rdbuf();
+  std::string bytes = std::move(contents).str();
+  if (bytes.size() < sizeof(kMagic) ||
+      std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return util::Status::DataLoss(path + ": not a YVERIDX1 artifact");
   }
-  Reader r(f);
+  std::string_view body = std::string_view(bytes).substr(sizeof(kMagic));
+  util::ByteReader r(body);
+  auto get = [&r](auto& v) { return r.Read(&v); };
   uint64_t num_records = 0, num_matches = 0;
-  if (!r.Get(&num_records) || !r.Get(&num_matches)) {
+  if (!WalkCounts(get, num_records, num_matches)) {
     return util::Status::DataLoss(path + ": truncated header");
+  }
+  // Every record must be addressable by a RecordIdx; a larger count would
+  // also size the adjacency's offset table past anything allocatable.
+  if (num_records > std::numeric_limits<data::RecordIdx>::max()) {
+    return util::Status::DataLoss(path + ": record count " +
+                                  std::to_string(num_records) +
+                                  " exceeds the record index range");
   }
   ResolutionIndex index;
   index.num_records_ = static_cast<size_t>(num_records);
+  // The file bounds how many matches can really follow; never trust the
+  // declared count for the allocation.
   index.arena_.reserve(static_cast<size_t>(
-      std::min<uint64_t>(num_matches, 1u << 20)));  // distrust huge counts
+      std::min<uint64_t>(num_matches, r.remaining() / kMatchBytes)));
   double prev_confidence = std::numeric_limits<double>::infinity();
   for (uint64_t i = 0; i < num_matches; ++i) {
     injected = util::FaultInjector::Global().InjectIo(
         util::FaultPoint::kIndexLoadRead);
     if (!injected.ok()) return injected;
-    uint32_t a = 0, b = 0;
-    double confidence = 0, block_score = 0;
-    if (!r.Get(&a) || !r.Get(&b) || !r.Get(&confidence) ||
-        !r.Get(&block_score)) {
+    core::RankedMatch m;
+    if (!WalkMatch(get, m)) {
       return util::Status::DataLoss(path + ": truncated match arena");
     }
-    if (a >= b || b >= num_records) {
+    if (m.pair.a >= m.pair.b || m.pair.b >= num_records) {
       return util::Status::DataLoss(path + ": malformed record pair");
     }
-    if (std::isnan(confidence) || confidence > prev_confidence) {
+    if (std::isnan(m.confidence) || m.confidence > prev_confidence) {
       return util::Status::DataLoss(path + ": arena not confidence-sorted");
     }
-    prev_confidence = confidence;
-    core::RankedMatch m;
-    m.pair = data::RecordPair(a, b);
-    m.confidence = confidence;
-    m.block_score = block_score;
+    prev_confidence = m.confidence;
     index.arena_.push_back(m);
   }
-  uint64_t expected = r.digest();
+  uint64_t expected = util::Fnv1aOf(body.substr(0, r.position()));
   uint64_t stored = 0;
-  if (!f.read(reinterpret_cast<char*>(&stored), sizeof(stored)) ||
-      stored != expected) {
+  if (!r.Read(&stored) || stored != expected) {
     return util::Status::DataLoss(path + ": checksum mismatch");
   }
   index.adjacency_ = core::MatchAdjacency(index.arena_, index.num_records_);

@@ -77,24 +77,25 @@ class ResolutionIndex {
   /// these per threshold.
   core::EntityClusters ClustersAt(double certainty) const;
 
-  /// FNV-1a digest of the index content (num_records, match count, raw
-  /// arena bytes) — exactly the checksum `Save` embeds in the artifact,
-  /// so two indexes with equal checksums serve identical bytes and an
+  /// FNV-1a digest of the index content (num_records, match count, the
+  /// match arena as Save lays it out) — exactly the checksum `Save`
+  /// embeds in the artifact, so two indexes with equal checksums serve identical bytes and an
   /// in-memory index can be compared against an on-disk artifact without
   /// re-serializing. The determinism harness compares these across
   /// thread counts.
   uint64_t Checksum() const;
 
   /// Serializes the index to a binary artifact (magic, version, counts,
-  /// raw match arena). The adjacency is rebuilt on load — it is a pure
-  /// function of the arena, so round-tripping preserves query results
-  /// bit-for-bit.
+  /// match arena, digest; layout in resolution_index.cc). The adjacency
+  /// is rebuilt on load — it is a pure function of the arena, so
+  /// round-tripping preserves query results bit-for-bit.
   util::Status Save(const std::string& path) const;
 
   /// Loads an artifact written by Save. NOT_FOUND when the file cannot be
-  /// opened, DATA_LOSS on bad magic / version / truncation / malformed
-  /// pairs. Fault-injection points: serve.index_load.open,
-  /// serve.index_load.read (util::FaultInjector).
+  /// opened, DATA_LOSS on bad magic / version / truncation / a record
+  /// count beyond the data::RecordIdx range / malformed pairs / an
+  /// unsorted arena / a checksum mismatch. Fault-injection points:
+  /// serve.index_load.open, serve.index_load.read (util::FaultInjector).
   static util::StatusOr<ResolutionIndex> Load(const std::string& path);
 
   /// Load wrapped in util::RetryWithPolicy: transient failures

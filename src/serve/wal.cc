@@ -14,28 +14,12 @@
 #include <utility>
 
 #include "serve/wire.h"
+#include "util/byte_codec.h"
 #include "util/fault_injector.h"
 
 namespace yver::serve {
 
 namespace {
-
-// Same FNV-1a the .yvx artifact uses; one record's digest covers its
-// (length, sequence, payload) bytes exactly as they sit in the file.
-class Fnv1a {
- public:
-  void Update(const void* data, size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (size_t i = 0; i < n; ++i) {
-      hash_ ^= p[i];
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-  uint64_t digest() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 constexpr char kSegmentMagic[8] = {'Y', 'V', 'E', 'R', 'W', 'A', 'L', '1'};
 constexpr size_t kSegmentHeaderSize = 16;  // magic + first_sequence
@@ -43,34 +27,6 @@ constexpr size_t kRecordOverhead = 4 + 8 + 8;  // length + sequence + digest
 // A WAL payload is one wire append frame; anything claiming to be larger
 // cannot have been written by us.
 constexpr size_t kMaxWalPayload = wire::kMaxFramePayload + wire::kHeaderSize;
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-uint32_t ReadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
 
 std::string SegmentName(uint64_t first_sequence) {
   char buf[32];
@@ -106,16 +62,23 @@ util::Status FsyncDir(const std::string& dir) {
 }
 
 /// Appends one framed record (length | sequence | payload | digest) to
-/// `out`.
+/// `out`; the digest is FNV-1a over the (length, sequence, payload) bytes
+/// exactly as they sit in the file.
 void FrameRecord(uint64_t sequence, std::string_view payload,
                  std::string* out) {
   size_t start = out->size();
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU64(out, sequence);
+  util::PutLe<uint32_t>(out, static_cast<uint32_t>(payload.size()));
+  util::PutLe<uint64_t>(out, sequence);
   out->append(payload);
-  Fnv1a fnv;
-  fnv.Update(out->data() + start, 12 + payload.size());
-  PutU64(out, fnv.digest());
+  uint64_t digest = util::Fnv1aOf(std::string_view(*out).substr(start));
+  util::PutLe<uint64_t>(out, digest);
+}
+
+/// The 16-byte segment header: magic, then the first sequence.
+std::string SegmentHeader(uint64_t first_sequence) {
+  std::string header(kSegmentMagic, sizeof(kSegmentMagic));
+  util::PutLe<uint64_t>(&header, first_sequence);
+  return header;
 }
 
 }  // namespace
@@ -196,7 +159,7 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
           0) {
         return util::Status::DataLoss(seg.path + ": not a YVERWAL1 segment");
       }
-      uint64_t header_first = ReadU64(bytes.data() + 8);
+      uint64_t header_first = util::GetLe<uint64_t>(bytes.data() + 8);
       if (header_first != seg.first_sequence ||
           header_first != next_expected) {
         return util::Status::DataLoss(
@@ -217,7 +180,7 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
             std::to_string(off));
         break;
       }
-      uint32_t len = ReadU32(bytes.data() + off);
+      uint32_t len = util::GetLe<uint32_t>(bytes.data() + off);
       if (len > kMaxWalPayload) {
         tail_damage = util::Status::DataLoss(
             seg.path + ": implausible record length " + std::to_string(len) +
@@ -230,16 +193,16 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
             std::to_string(off));
         break;
       }
-      Fnv1a fnv;
-      fnv.Update(bytes.data() + off, 12 + len);
-      uint64_t stored = ReadU64(bytes.data() + off + 12 + len);
-      if (stored != fnv.digest()) {
+      uint64_t digest =
+          util::Fnv1aOf(std::string_view(bytes).substr(off, 12 + len));
+      uint64_t stored = util::GetLe<uint64_t>(bytes.data() + off + 12 + len);
+      if (stored != digest) {
         tail_damage = util::Status::DataLoss(
             seg.path + ": record checksum mismatch at offset " +
             std::to_string(off));
         break;
       }
-      uint64_t sequence = ReadU64(bytes.data() + off + 4);
+      uint64_t sequence = util::GetLe<uint64_t>(bytes.data() + off + 4);
       if (sequence != next_expected) {
         return util::Status::DataLoss(
             seg.path + ": sequence gap (record says " +
@@ -296,8 +259,7 @@ util::StatusOr<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
           return util::Status::DataLoss(
               seg.path + ": torn header disagrees with the log position");
         }
-        std::string header(kSegmentMagic, sizeof(kSegmentMagic));
-        PutU64(&header, next_expected);
+        std::string header = SegmentHeader(next_expected);
         if (::ftruncate(wfd, 0) != 0) {
           ::close(wfd);
           return Errno("truncate " + seg.path);
@@ -338,8 +300,7 @@ util::Status WriteAheadLog::RotateLocked(uint64_t first_sequence) {
   std::string path = dir_ + "/" + SegmentName(first_sequence);
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return Errno("create " + path);
-  std::string header(kSegmentMagic, sizeof(kSegmentMagic));
-  PutU64(&header, first_sequence);
+  std::string header = SegmentHeader(first_sequence);
   util::Status wrote = WriteFully(fd, header.data(), header.size(), 0);
   if (!wrote.ok()) {
     ::close(fd);

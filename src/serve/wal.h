@@ -47,16 +47,18 @@ struct WalRecoveredRecord {
 /// mid-write) but refusing mid-file corruption with a typed DATA_LOSS.
 ///
 /// On-disk layout: the directory holds segment files named
-/// `wal-<first_sequence 016x>.yvw`. Each segment is
+/// `wal-<first_sequence 016x>.yvw`. Integers are little-endian and the
+/// digest is FNV-1a, both from util/byte_codec.h. Each segment is
 ///
 ///   8 bytes  magic "YVERWAL1"
-///   u64      first_sequence (little-endian; must match the name)
+///   u64      first_sequence (must match the name)
 ///   repeated records:
 ///     u32    payload length
 ///     u64    sequence
 ///     bytes  payload — one wire kAppendRequest frame (serve::wire), so
 ///            the log speaks the exact dialect the TCP front end does and
-///            replay reuses the append codec's validation
+///            replay reuses the append codec's validation (a frame of any
+///            wire version but kVersion replays as DATA_LOSS)
 ///     u64    FNV-1a over (length, sequence, payload) bytes
 ///
 /// Durability contract: the bytes on disk are exactly the acked records.

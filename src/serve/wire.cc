@@ -3,94 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
+
+#include "util/byte_codec.h"
 
 namespace yver::serve::wire {
 
 namespace {
 
-// Little-endian primitives, written byte-by-byte so the codec is
-// byte-order independent (the determinism contract is about bytes on the
-// wire, not host memory layout).
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU16(std::string* out, uint16_t v) {
-  PutU8(out, static_cast<uint8_t>(v));
-  PutU8(out, static_cast<uint8_t>(v >> 8));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) PutU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) PutU8(out, static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutF64(std::string* out, double v) {
-  PutU64(out, std::bit_cast<uint64_t>(v));
-}
-
-/// Bounds-checked sequential reader over a frame payload. Every Read*
-/// returns false once the payload is exhausted; callers bail out with one
-/// typed DATA_LOSS instead of checking lengths at every field.
-class PayloadReader {
- public:
-  explicit PayloadReader(std::string_view payload)
-      : p_(reinterpret_cast<const uint8_t*>(payload.data())),
-        n_(payload.size()) {}
-
-  bool ReadU8(uint8_t* v) {
-    if (n_ - off_ < 1) return false;
-    *v = p_[off_++];
-    return true;
-  }
-  bool ReadU16(uint16_t* v) {
-    if (n_ - off_ < 2) return false;
-    *v = static_cast<uint16_t>(p_[off_] | (p_[off_ + 1] << 8));
-    off_ += 2;
-    return true;
-  }
-  bool ReadU32(uint32_t* v) {
-    if (n_ - off_ < 4) return false;
-    uint32_t r = 0;
-    for (int i = 0; i < 4; ++i) r |= static_cast<uint32_t>(p_[off_ + i]) << (8 * i);
-    off_ += 4;
-    *v = r;
-    return true;
-  }
-  bool ReadU64(uint64_t* v) {
-    if (n_ - off_ < 8) return false;
-    uint64_t r = 0;
-    for (int i = 0; i < 8; ++i) r |= static_cast<uint64_t>(p_[off_ + i]) << (8 * i);
-    off_ += 8;
-    *v = r;
-    return true;
-  }
-  bool ReadF64(double* v) {
-    uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    *v = std::bit_cast<double>(bits);
-    return true;
-  }
-  bool ReadBytes(std::string* out, size_t len) {
-    if (n_ - off_ < len) return false;
-    out->assign(reinterpret_cast<const char*>(p_ + off_), len);
-    off_ += len;
-    return true;
-  }
-
-  size_t remaining() const { return n_ - off_; }
-  bool Done() const { return off_ == n_; }
-
- private:
-  const uint8_t* p_;
-  size_t n_;
-  size_t off_ = 0;
-};
+using util::PutLe;
 
 util::Status Truncated(const char* what) {
   return util::Status::DataLoss(std::string("truncated ") + what +
@@ -134,37 +54,34 @@ bool StatusCodeFromWire(uint8_t byte, util::StatusCode* code) {
   }
 }
 
-// Frame types are versioned: v1 defined kQuery..kInfo, v2 added the
-// append pair (v3/v4 added no types, only trailing payload fields). A frame
-// whose version predates its own type is a protocol violation, not a
-// forward-compat case.
-bool KnownFrameType(uint8_t byte, uint8_t version) {
-  uint8_t last = static_cast<uint8_t>(version >= 2 ? FrameType::kAppendAck
-                                                   : FrameType::kInfo);
-  return byte >= static_cast<uint8_t>(FrameType::kQuery) && byte <= last;
+bool KnownFrameType(uint8_t byte) {
+  return byte >= static_cast<uint8_t>(FrameType::kQuery) &&
+         byte <= static_cast<uint8_t>(FrameType::kAppendAck);
+}
+
+bool KnownGranularity(uint8_t byte) {
+  return byte <= static_cast<uint8_t>(Granularity::kEntity);
 }
 
 void PutQueryEcho(std::string* out, const Query& query) {
-  PutU32(out, query.record);
-  PutF64(out, query.certainty);
-  PutU64(out, query.k);
-  PutU8(out, static_cast<uint8_t>(query.granularity));
+  PutLe<uint32_t>(out, query.record);
+  PutLe<double>(out, query.certainty);
+  PutLe<uint64_t>(out, query.k);
+  PutLe<uint8_t>(out, static_cast<uint8_t>(query.granularity));
 }
 
-bool ReadQueryEcho(PayloadReader* r, Query* query, bool* bad_granularity) {
+/// Reads a query echo. `*granularity` receives the raw byte for the
+/// caller to validate; query->granularity is set only when it is known.
+bool ReadQueryEcho(util::ByteReader* r, Query* query, uint8_t* granularity) {
   uint64_t k = 0;
-  uint8_t granularity = 0;
-  *bad_granularity = false;
-  if (!r->ReadU32(&query->record) || !r->ReadF64(&query->certainty) ||
-      !r->ReadU64(&k) || !r->ReadU8(&granularity)) {
+  if (!r->Read(&query->record) || !r->Read(&query->certainty) ||
+      !r->Read(&k) || !r->Read(granularity)) {
     return false;
   }
   query->k = static_cast<size_t>(k);
-  if (granularity > static_cast<uint8_t>(Granularity::kEntity)) {
-    *bad_granularity = true;
-    return true;
+  if (KnownGranularity(*granularity)) {
+    query->granularity = static_cast<Granularity>(*granularity);
   }
-  query->granularity = static_cast<Granularity>(granularity);
   return true;
 }
 
@@ -172,11 +89,11 @@ bool ReadQueryEcho(PayloadReader* r, Query* query, bool* bad_granularity) {
 
 void AppendFrame(FrameType type, std::string_view payload, std::string* out) {
   out->reserve(out->size() + kHeaderSize + payload.size());
-  PutU8(out, kMagic0);
-  PutU8(out, kMagic1);
-  PutU8(out, kVersion);
-  PutU8(out, static_cast<uint8_t>(type));
-  PutU32(out, static_cast<uint32_t>(payload.size()));
+  PutLe<uint8_t>(out, kMagic0);
+  PutLe<uint8_t>(out, kMagic1);
+  PutLe<uint8_t>(out, kVersion);
+  PutLe<uint8_t>(out, static_cast<uint8_t>(type));
+  PutLe<uint32_t>(out, static_cast<uint32_t>(payload.size()));
   out->append(payload);
 }
 
@@ -187,27 +104,22 @@ util::StatusOr<size_t> PeekFrameHeader(std::string_view buffer,
   if (p[0] != kMagic0 || p[1] != kMagic1) {
     return util::Status::DataLoss("bad frame magic");
   }
-  uint8_t version = p[2];
-  if (version == 0 || version > kVersion) {
+  if (p[2] != kVersion) {
     return util::Status::InvalidArgument(
-        "unsupported wire version " + std::to_string(version) +
-        " (this binary speaks <= " + std::to_string(kVersion) + ")");
+        "unsupported wire version " + std::to_string(p[2]) +
+        " (this binary speaks only version " + std::to_string(kVersion) +
+        ")");
   }
-  if (!KnownFrameType(p[3], version)) {
-    return util::Status::InvalidArgument(
-        "unknown frame type " + std::to_string(p[3]) + " for version " +
-        std::to_string(version));
+  if (!KnownFrameType(p[3])) {
+    return util::Status::InvalidArgument("unknown frame type " +
+                                         std::to_string(p[3]));
   }
-  uint32_t length = 0;
-  for (int i = 0; i < 4; ++i) {
-    length |= static_cast<uint32_t>(p[4 + i]) << (8 * i);
-  }
+  uint32_t length = util::GetLe<uint32_t>(buffer.data() + 4);
   if (length > kMaxFramePayload) {
     return util::Status::DataLoss("frame payload length " +
                                   std::to_string(length) +
                                   " exceeds the protocol maximum");
   }
-  header->version = version;
   header->type = static_cast<FrameType>(p[3]);
   header->payload_length = length;
   return kHeaderSize;
@@ -220,7 +132,6 @@ util::StatusOr<size_t> ExtractFrame(std::string_view buffer, Frame* frame) {
   if (*peeked == 0) return size_t{0};
   if (buffer.size() < kHeaderSize + header.payload_length) return size_t{0};
   frame->type = header.type;
-  frame->version = header.version;
   frame->payload.assign(buffer.data() + kHeaderSize, header.payload_length);
   return kHeaderSize + header.payload_length;
 }
@@ -231,11 +142,8 @@ util::StatusOr<size_t> ExtractFrame(std::string_view buffer, Frame* frame) {
 void EncodeQuery(const Query& query, double deadline_ms, std::string* out) {
   std::string payload;
   payload.reserve(29);
-  PutU32(&payload, query.record);
-  PutF64(&payload, query.certainty);
-  PutU64(&payload, query.k);
-  PutU8(&payload, static_cast<uint8_t>(query.granularity));
-  PutF64(&payload, deadline_ms);
+  PutQueryEcho(&payload, query);
+  PutLe<double>(&payload, deadline_ms);
   AppendFrame(FrameType::kQuery, payload, out);
 }
 
@@ -243,24 +151,15 @@ util::StatusOr<DecodedQuery> DecodeQuery(const Frame& frame) {
   if (frame.type != FrameType::kQuery) {
     return util::Status::InvalidArgument("not a query frame");
   }
-  PayloadReader r(frame.payload);
+  util::ByteReader r(frame.payload);
   DecodedQuery decoded;
-  bool bad_granularity = false;
-  uint64_t k = 0;
   uint8_t granularity = 0;
-  if (!r.ReadU32(&decoded.query.record) ||
-      !r.ReadF64(&decoded.query.certainty) || !r.ReadU64(&k) ||
-      !r.ReadU8(&granularity) || !r.ReadF64(&decoded.deadline_ms)) {
+  if (!ReadQueryEcho(&r, &decoded.query, &granularity) ||
+      !r.Read(&decoded.deadline_ms)) {
     return Truncated("query");
   }
   if (!r.Done()) return TrailingBytes("query");
-  decoded.query.k = static_cast<size_t>(k);
-  if (granularity > static_cast<uint8_t>(Granularity::kEntity)) {
-    bad_granularity = true;
-  } else {
-    decoded.query.granularity = static_cast<Granularity>(granularity);
-  }
-  if (bad_granularity) {
+  if (!KnownGranularity(granularity)) {
     return util::Status::InvalidArgument("unknown granularity " +
                                          std::to_string(granularity));
   }
@@ -284,9 +183,9 @@ void EncodeResult(const util::StatusOr<QueryResult>& result,
   if (!result.ok()) {
     const util::Status& status = result.status();
     payload.reserve(3 + status.message().size());
-    PutU8(&payload, StatusCodeToWire(status.code()));
+    PutLe<uint8_t>(&payload, StatusCodeToWire(status.code()));
     size_t len = std::min<size_t>(status.message().size(), 0xffff);
-    PutU16(&payload, static_cast<uint16_t>(len));
+    PutLe<uint16_t>(&payload, static_cast<uint16_t>(len));
     payload.append(status.message(), 0, len);
     AppendFrame(FrameType::kError, payload, out);
     return;
@@ -294,28 +193,28 @@ void EncodeResult(const util::StatusOr<QueryResult>& result,
   const QueryResult& r = *result;
   payload.reserve(22 + 8 + r.matches.size() * 24 + r.entity.size() * 4);
   uint8_t flags = r.degraded ? 1 : 0;
-  PutU8(&payload, flags);
+  PutLe<uint8_t>(&payload, flags);
   PutQueryEcho(&payload, r.query);
-  PutU32(&payload, static_cast<uint32_t>(r.matches.size()));
+  PutLe<uint32_t>(&payload, static_cast<uint32_t>(r.matches.size()));
   for (const core::RankedMatch& m : r.matches) {
-    PutU32(&payload, m.pair.a);
-    PutU32(&payload, m.pair.b);
-    PutF64(&payload, m.confidence);
-    PutF64(&payload, m.block_score);
+    PutLe<uint32_t>(&payload, m.pair.a);
+    PutLe<uint32_t>(&payload, m.pair.b);
+    PutLe<double>(&payload, m.confidence);
+    PutLe<double>(&payload, m.block_score);
   }
-  PutU32(&payload, static_cast<uint32_t>(r.entity.size()));
-  for (data::RecordIdx member : r.entity) PutU32(&payload, member);
-  PutU64(&payload, r.generation);  // v2: which snapshot answered
+  PutLe<uint32_t>(&payload, static_cast<uint32_t>(r.entity.size()));
+  for (data::RecordIdx member : r.entity) PutLe<uint32_t>(&payload, member);
+  PutLe<uint64_t>(&payload, r.generation);  // which snapshot answered
   AppendFrame(FrameType::kResult, payload, out);
 }
 
 util::StatusOr<QueryResult> DecodeResult(const Frame& frame) {
   if (frame.type == FrameType::kError) {
-    PayloadReader r(frame.payload);
+    util::ByteReader r(frame.payload);
     uint8_t code_byte = 0;
     uint16_t len = 0;
     std::string message;
-    if (!r.ReadU8(&code_byte) || !r.ReadU16(&len) ||
+    if (!r.Read(&code_byte) || !r.Read(&len) ||
         !r.ReadBytes(&message, len)) {
       return Truncated("error");
     }
@@ -332,15 +231,14 @@ util::StatusOr<QueryResult> DecodeResult(const Frame& frame) {
   if (frame.type != FrameType::kResult) {
     return util::Status::InvalidArgument("not a result frame");
   }
-  PayloadReader r(frame.payload);
+  util::ByteReader r(frame.payload);
   QueryResult result;
   uint8_t flags = 0;
-  bool bad_granularity = false;
-  if (!r.ReadU8(&flags) ||
-      !ReadQueryEcho(&r, &result.query, &bad_granularity)) {
+  uint8_t granularity = 0;
+  if (!r.Read(&flags) || !ReadQueryEcho(&r, &result.query, &granularity)) {
     return Truncated("result");
   }
-  if (bad_granularity) {
+  if (!KnownGranularity(granularity)) {
     return util::Status::InvalidArgument(
         "unknown granularity in result echo");
   }
@@ -349,7 +247,7 @@ util::StatusOr<QueryResult> DecodeResult(const Frame& frame) {
   }
   result.degraded = (flags & 1) != 0;
   uint32_t match_count = 0;
-  if (!r.ReadU32(&match_count)) return Truncated("result");
+  if (!r.Read(&match_count)) return Truncated("result");
   if (r.remaining() < static_cast<size_t>(match_count) * 24) {
     return Truncated("result match list");
   }
@@ -360,29 +258,25 @@ util::StatusOr<QueryResult> DecodeResult(const Frame& frame) {
     // arbitrary (a, b) on the wire round-trips through the same ctor the
     // in-process path used.
     uint32_t a = 0, b = 0;
-    if (!r.ReadU32(&a) || !r.ReadU32(&b) || !r.ReadF64(&m.confidence) ||
-        !r.ReadF64(&m.block_score)) {
+    if (!r.Read(&a) || !r.Read(&b) || !r.Read(&m.confidence) ||
+        !r.Read(&m.block_score)) {
       return Truncated("result match list");
     }
     m.pair = data::RecordPair(a, b);
     result.matches.push_back(m);
   }
   uint32_t entity_count = 0;
-  if (!r.ReadU32(&entity_count)) return Truncated("result");
+  if (!r.Read(&entity_count)) return Truncated("result");
   if (r.remaining() < static_cast<size_t>(entity_count) * 4) {
     return Truncated("result entity list");
   }
   result.entity.reserve(entity_count);
   for (uint32_t i = 0; i < entity_count; ++i) {
     uint32_t member = 0;
-    if (!r.ReadU32(&member)) return Truncated("result entity list");
+    if (!r.Read(&member)) return Truncated("result entity list");
     result.entity.push_back(member);
   }
-  if (frame.version >= 2) {
-    if (!r.ReadU64(&result.generation)) return Truncated("result");
-  } else {
-    result.generation = 1;  // a v1 server only ever serves generation 1
-  }
+  if (!r.Read(&result.generation)) return Truncated("result");
   if (!r.Done()) return TrailingBytes("result");
   return result;
 }
@@ -397,37 +291,36 @@ void EncodeInfoRequest(std::string* out) {
 void EncodeInfo(const ServerInfo& info, std::string* out) {
   std::string payload;
   payload.reserve(3 * 8 + 10 * 8 + 4 + kServiceLatencyBuckets * 8);
-  PutU64(&payload, info.num_records);
-  PutU64(&payload, info.num_matches);
-  PutU64(&payload, info.checksum);
-  PutU64(&payload, info.metrics.queries);
-  PutU64(&payload, info.metrics.errors);
-  PutU64(&payload, info.metrics.cache_hits);
-  PutU64(&payload, info.metrics.cache_misses);
-  PutU64(&payload, info.metrics.shed);
-  PutU64(&payload, info.metrics.deadline_exceeded);
-  PutU64(&payload, info.metrics.degraded);
-  PutF64(&payload, info.metrics.total_latency_ms);
-  PutU32(&payload, static_cast<uint32_t>(
+  PutLe<uint64_t>(&payload, info.num_records);
+  PutLe<uint64_t>(&payload, info.num_matches);
+  PutLe<uint64_t>(&payload, info.checksum);
+  PutLe<uint64_t>(&payload, info.metrics.queries);
+  PutLe<uint64_t>(&payload, info.metrics.errors);
+  PutLe<uint64_t>(&payload, info.metrics.cache_hits);
+  PutLe<uint64_t>(&payload, info.metrics.cache_misses);
+  PutLe<uint64_t>(&payload, info.metrics.shed);
+  PutLe<uint64_t>(&payload, info.metrics.deadline_exceeded);
+  PutLe<uint64_t>(&payload, info.metrics.degraded);
+  PutLe<double>(&payload, info.metrics.total_latency_ms);
+  PutLe<uint32_t>(&payload, static_cast<uint32_t>(
                        info.metrics.latency_histogram_ns.size()));
   for (uint64_t bucket : info.metrics.latency_histogram_ns) {
-    PutU64(&payload, bucket);
+    PutLe<uint64_t>(&payload, bucket);
   }
-  // v2: live-index gauges, appended so a v1 decoder's layout is a prefix.
-  PutU64(&payload, info.metrics.generation);
-  PutU64(&payload, info.metrics.publishes);
-  PutU64(&payload, info.metrics.pinned_readers);
-  // v3: staleness-bound eviction counter, appended likewise.
-  PutU64(&payload, info.metrics.evicted_stale);
-  // v4: connection-lifecycle gauges (DESIGN.md §15), appended likewise.
-  PutU64(&payload, info.net.open_connections);
-  PutU64(&payload, info.net.paused_reads);
-  PutU64(&payload, info.net.disconnects_idle);
-  PutU64(&payload, info.net.disconnects_slowloris);
-  PutU64(&payload, info.net.disconnects_oversize);
-  PutU64(&payload, info.net.disconnects_rate_limited);
-  PutU64(&payload, info.net.disconnects_write_stall);
-  PutU64(&payload, info.net.rate_limited_frames);
+  // Live-index gauges, then the staleness-bound eviction counter, then
+  // the connection-lifecycle gauges (DESIGN.md §15).
+  PutLe<uint64_t>(&payload, info.metrics.generation);
+  PutLe<uint64_t>(&payload, info.metrics.publishes);
+  PutLe<uint64_t>(&payload, info.metrics.pinned_readers);
+  PutLe<uint64_t>(&payload, info.metrics.evicted_stale);
+  PutLe<uint64_t>(&payload, info.net.open_connections);
+  PutLe<uint64_t>(&payload, info.net.paused_reads);
+  PutLe<uint64_t>(&payload, info.net.disconnects_idle);
+  PutLe<uint64_t>(&payload, info.net.disconnects_slowloris);
+  PutLe<uint64_t>(&payload, info.net.disconnects_oversize);
+  PutLe<uint64_t>(&payload, info.net.disconnects_rate_limited);
+  PutLe<uint64_t>(&payload, info.net.disconnects_write_stall);
+  PutLe<uint64_t>(&payload, info.net.rate_limited_frames);
   AppendFrame(FrameType::kInfo, payload, out);
 }
 
@@ -435,18 +328,18 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   if (frame.type != FrameType::kInfo) {
     return util::Status::InvalidArgument("not an info frame");
   }
-  PayloadReader r(frame.payload);
+  util::ByteReader r(frame.payload);
   ServerInfo info;
   uint32_t buckets = 0;
-  if (!r.ReadU64(&info.num_records) || !r.ReadU64(&info.num_matches) ||
-      !r.ReadU64(&info.checksum) || !r.ReadU64(&info.metrics.queries) ||
-      !r.ReadU64(&info.metrics.errors) ||
-      !r.ReadU64(&info.metrics.cache_hits) ||
-      !r.ReadU64(&info.metrics.cache_misses) ||
-      !r.ReadU64(&info.metrics.shed) ||
-      !r.ReadU64(&info.metrics.deadline_exceeded) ||
-      !r.ReadU64(&info.metrics.degraded) ||
-      !r.ReadF64(&info.metrics.total_latency_ms) || !r.ReadU32(&buckets)) {
+  if (!r.Read(&info.num_records) || !r.Read(&info.num_matches) ||
+      !r.Read(&info.checksum) || !r.Read(&info.metrics.queries) ||
+      !r.Read(&info.metrics.errors) ||
+      !r.Read(&info.metrics.cache_hits) ||
+      !r.Read(&info.metrics.cache_misses) ||
+      !r.Read(&info.metrics.shed) ||
+      !r.Read(&info.metrics.deadline_exceeded) ||
+      !r.Read(&info.metrics.degraded) ||
+      !r.Read(&info.metrics.total_latency_ms) || !r.Read(&buckets)) {
     return Truncated("info");
   }
   if (buckets > 1024 || r.remaining() < static_cast<size_t>(buckets) * 8) {
@@ -455,62 +348,46 @@ util::StatusOr<ServerInfo> DecodeInfo(const Frame& frame) {
   info.metrics.latency_histogram_ns.reserve(buckets);
   for (uint32_t i = 0; i < buckets; ++i) {
     uint64_t bucket = 0;
-    if (!r.ReadU64(&bucket)) return Truncated("info histogram");
+    if (!r.Read(&bucket)) return Truncated("info histogram");
     info.metrics.latency_histogram_ns.push_back(bucket);
   }
-  if (frame.version >= 2) {
-    if (!r.ReadU64(&info.metrics.generation) ||
-        !r.ReadU64(&info.metrics.publishes) ||
-        !r.ReadU64(&info.metrics.pinned_readers)) {
-      return Truncated("info");
-    }
-  } else {
-    info.metrics.generation = 1;
-    info.metrics.publishes = 0;
-    info.metrics.pinned_readers = 0;
-  }
-  if (frame.version >= 3) {
-    if (!r.ReadU64(&info.metrics.evicted_stale)) return Truncated("info");
-  } else {
-    info.metrics.evicted_stale = 0;
-  }
-  if (frame.version >= 4) {
-    if (!r.ReadU64(&info.net.open_connections) ||
-        !r.ReadU64(&info.net.paused_reads) ||
-        !r.ReadU64(&info.net.disconnects_idle) ||
-        !r.ReadU64(&info.net.disconnects_slowloris) ||
-        !r.ReadU64(&info.net.disconnects_oversize) ||
-        !r.ReadU64(&info.net.disconnects_rate_limited) ||
-        !r.ReadU64(&info.net.disconnects_write_stall) ||
-        !r.ReadU64(&info.net.rate_limited_frames)) {
-      return Truncated("info");
-    }
-  } else {
-    info.net = NetGauges{};
+  if (!r.Read(&info.metrics.generation) ||
+      !r.Read(&info.metrics.publishes) ||
+      !r.Read(&info.metrics.pinned_readers) ||
+      !r.Read(&info.metrics.evicted_stale) ||
+      !r.Read(&info.net.open_connections) ||
+      !r.Read(&info.net.paused_reads) ||
+      !r.Read(&info.net.disconnects_idle) ||
+      !r.Read(&info.net.disconnects_slowloris) ||
+      !r.Read(&info.net.disconnects_oversize) ||
+      !r.Read(&info.net.disconnects_rate_limited) ||
+      !r.Read(&info.net.disconnects_write_stall) ||
+      !r.Read(&info.net.rate_limited_frames)) {
+    return Truncated("info");
   }
   if (!r.Done()) return TrailingBytes("info");
   return info;
 }
 
 // ---------------------------------------------------------------------------
-// Live ingest (v2)
+// Live ingest
 
 void EncodeAppend(const data::Record& record, std::string* out) {
   std::string payload;
   payload.reserve(31 + record.entries().size() * 12);
-  PutU64(&payload, record.book_id);
-  PutU32(&payload, record.source_id);
-  PutU8(&payload, static_cast<uint8_t>(record.source_kind));
-  PutU64(&payload, std::bit_cast<uint64_t>(record.entity_id));
-  PutU64(&payload, std::bit_cast<uint64_t>(record.family_id));
-  PutU16(&payload, static_cast<uint16_t>(
+  PutLe<uint64_t>(&payload, record.book_id);
+  PutLe<uint32_t>(&payload, record.source_id);
+  PutLe<uint8_t>(&payload, static_cast<uint8_t>(record.source_kind));
+  PutLe<uint64_t>(&payload, std::bit_cast<uint64_t>(record.entity_id));
+  PutLe<uint64_t>(&payload, std::bit_cast<uint64_t>(record.family_id));
+  PutLe<uint16_t>(&payload, static_cast<uint16_t>(
                        std::min<size_t>(record.entries().size(), 0xffff)));
   size_t n = std::min<size_t>(record.entries().size(), 0xffff);
   for (size_t i = 0; i < n; ++i) {
     const data::Record::Entry& entry = record.entries()[i];
-    PutU8(&payload, static_cast<uint8_t>(entry.attr));
+    PutLe<uint8_t>(&payload, static_cast<uint8_t>(entry.attr));
     size_t len = std::min<size_t>(entry.value.size(), 0xffff);
-    PutU16(&payload, static_cast<uint16_t>(len));
+    PutLe<uint16_t>(&payload, static_cast<uint16_t>(len));
     payload.append(entry.value, 0, len);
   }
   AppendFrame(FrameType::kAppendRequest, payload, out);
@@ -520,15 +397,15 @@ util::StatusOr<data::Record> DecodeAppend(const Frame& frame) {
   if (frame.type != FrameType::kAppendRequest) {
     return util::Status::InvalidArgument("not an append frame");
   }
-  PayloadReader r(frame.payload);
+  util::ByteReader r(frame.payload);
   data::Record record;
   uint8_t source_kind = 0;
   uint64_t entity_bits = 0;
   uint64_t family_bits = 0;
   uint16_t num_entries = 0;
-  if (!r.ReadU64(&record.book_id) || !r.ReadU32(&record.source_id) ||
-      !r.ReadU8(&source_kind) || !r.ReadU64(&entity_bits) ||
-      !r.ReadU64(&family_bits) || !r.ReadU16(&num_entries)) {
+  if (!r.Read(&record.book_id) || !r.Read(&record.source_id) ||
+      !r.Read(&source_kind) || !r.Read(&entity_bits) ||
+      !r.Read(&family_bits) || !r.Read(&num_entries)) {
     return Truncated("append");
   }
   if (source_kind > static_cast<uint8_t>(data::SourceKind::kVictimList)) {
@@ -542,7 +419,7 @@ util::StatusOr<data::Record> DecodeAppend(const Frame& frame) {
     uint8_t attr = 0;
     uint16_t len = 0;
     std::string value;
-    if (!r.ReadU8(&attr) || !r.ReadU16(&len) || !r.ReadBytes(&value, len)) {
+    if (!r.Read(&attr) || !r.Read(&len) || !r.ReadBytes(&value, len)) {
       return Truncated("append entry list");
     }
     if (attr >= data::kNumAttributes) {
@@ -563,12 +440,10 @@ util::StatusOr<data::Record> DecodeAppend(const Frame& frame) {
 void EncodeAppendAck(const AppendAck& ack, std::string* out) {
   std::string payload;
   payload.reserve(25);
-  PutU64(&payload, ack.record_idx);
-  PutU64(&payload, ack.generation);
-  // v3: durability of the ack, appended so a v2 decoder's layout is a
-  // prefix.
-  PutU8(&payload, ack.durable ? 1 : 0);
-  PutU64(&payload, ack.wal_sequence);
+  PutLe<uint64_t>(&payload, ack.record_idx);
+  PutLe<uint64_t>(&payload, ack.generation);
+  PutLe<uint8_t>(&payload, ack.durable ? 1 : 0);
+  PutLe<uint64_t>(&payload, ack.wal_sequence);
   AppendFrame(FrameType::kAppendAck, payload, out);
 }
 
@@ -576,25 +451,18 @@ util::StatusOr<AppendAck> DecodeAppendAck(const Frame& frame) {
   if (frame.type != FrameType::kAppendAck) {
     return util::Status::InvalidArgument("not an append ack frame");
   }
-  PayloadReader r(frame.payload);
+  util::ByteReader r(frame.payload);
   AppendAck ack;
-  if (!r.ReadU64(&ack.record_idx) || !r.ReadU64(&ack.generation)) {
+  uint8_t durable = 0;
+  if (!r.Read(&ack.record_idx) || !r.Read(&ack.generation) ||
+      !r.Read(&durable) || !r.Read(&ack.wal_sequence)) {
     return Truncated("append ack");
   }
-  if (frame.version >= 3) {
-    uint8_t durable = 0;
-    if (!r.ReadU8(&durable) || !r.ReadU64(&ack.wal_sequence)) {
-      return Truncated("append ack");
-    }
-    if (durable > 1) {
-      return util::Status::InvalidArgument("unknown durable flag " +
-                                           std::to_string(durable));
-    }
-    ack.durable = durable != 0;
-  } else {
-    ack.durable = false;
-    ack.wal_sequence = 0;
+  if (durable > 1) {
+    return util::Status::InvalidArgument("unknown durable flag " +
+                                         std::to_string(durable));
   }
+  ack.durable = durable != 0;
   if (!r.Done()) return TrailingBytes("append ack");
   return ack;
 }

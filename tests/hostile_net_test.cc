@@ -18,9 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "adversary.h"
 #include "core/ranked_resolution.h"
 #include "data/record.h"
-#include "serve/net/adversary.h"
 #include "serve/net/client.h"
 #include "serve/net/deadline_wheel.h"
 #include "serve/net/server.h"

@@ -20,6 +20,7 @@
 #include "serve/query.h"
 #include "serve/resolution_index.h"
 #include "serve/resolution_service.h"
+#include "util/byte_codec.h"
 #include "util/fault_injector.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -195,6 +196,29 @@ TEST_F(ResolutionIndexTest, LoadRejectsMissingCorruptAndTruncated) {
   EXPECT_EQ(ResolutionIndex::Load(truncated).status().code(),
             util::StatusCode::kDataLoss);
   std::remove(truncated.c_str());
+}
+
+// A record count no data::RecordIdx can address, with zero matches and a
+// correct digest, passes every other check. Load must refuse it typed
+// rather than size the adjacency's offset table by it (which throws
+// bad_alloc and ends the process).
+TEST(ResolutionIndexLoadTest, RecordCountBeyondRecordIdxIsDataLoss) {
+  for (uint64_t num_records :
+       {uint64_t{1} << 40,
+        uint64_t{std::numeric_limits<data::RecordIdx>::max()} + 1}) {
+    std::string body;
+    util::PutLe<uint64_t>(&body, num_records);
+    util::PutLe<uint64_t>(&body, 0);  // num_matches
+    std::string bytes = "YVERIDX1" + body;
+    util::PutLe<uint64_t>(&bytes, util::Fnv1aOf(body));
+    std::string path = TempPath("huge-record-count.yvx");
+    { std::ofstream(path, std::ios::binary) << bytes; }
+    auto loaded = ResolutionIndex::Load(path);
+    ASSERT_FALSE(loaded.ok()) << num_records;
+    EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss)
+        << loaded.status().ToString();
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(ResolutionIndexTest, ClustersMatchEntityClusters) {

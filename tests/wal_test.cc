@@ -28,6 +28,7 @@
 #include "serve/resolution_index.h"
 #include "serve/resolution_service.h"
 #include "serve/wal.h"
+#include "util/byte_codec.h"
 #include "util/fault_injector.h"
 #include "util/status.h"
 
@@ -394,6 +395,37 @@ TEST(WalTest, MidFileCorruptionInNonFinalSegmentIsDataLoss) {
   auto healed = OpenWal(dir, &recovered, /*segment_bytes=*/1);
   ASSERT_TRUE(healed.ok()) << healed.status().ToString();
   EXPECT_EQ(recovered.size(), 4u);
+}
+
+// A record whose digest is valid but whose append frame claims another
+// wire version (here v3) was not written by this binary's dialect: replay
+// refuses it typed, like any other undecodable frame, and never crashes.
+TEST(WalTest, ForeignWireVersionReplaysAsDataLoss) {
+  std::string dir = FreshDir("wal_foreign_version");
+  std::vector<WalRecoveredRecord> recovered;
+  {
+    auto wal = OpenWal(dir, &recovered);
+    ASSERT_TRUE(wal.ok()) << wal.status().ToString();
+    ASSERT_TRUE((*wal)->Append(MakeReport(500, "old", "dialect", "x")).ok());
+  }
+  auto segments = SegmentPaths(dir);
+  ASSERT_EQ(segments.size(), 1u);
+  std::string bytes = ReadFileBytes(segments[0]);
+  constexpr size_t kRecord = 16;  // after the segment header
+  uint32_t len = util::GetLe<uint32_t>(bytes.data() + kRecord);
+  ASSERT_EQ(bytes.size(), kRecord + 4 + 8 + len + 8);
+  bytes[kRecord + 12 + 2] = 3;  // the frame's version byte
+  uint64_t digest =
+      util::Fnv1aOf(std::string_view(bytes).substr(kRecord, 12 + len));
+  std::string digest_bytes;
+  util::PutLe<uint64_t>(&digest_bytes, digest);
+  bytes.replace(kRecord + 12 + len, 8, digest_bytes);
+  WriteFileBytes(segments[0], bytes);
+
+  auto reopened = OpenWal(dir, &recovered);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kDataLoss)
+      << reopened.status().ToString();
 }
 
 // ---------------------------------------------------------------------------

@@ -78,6 +78,7 @@
 #include <thread>
 #include <vector>
 
+#include "adversary.h"
 #include "core/entity_clusters.h"
 #include "core/evaluation.h"
 #include "core/family_resolution.h"
@@ -91,7 +92,6 @@
 #include "data/stats.h"
 #include "ml/adtree_io.h"
 #include "serve/ingest.h"
-#include "serve/net/adversary.h"
 #include "serve/net/client.h"
 #include "serve/net/loadgen.h"
 #include "serve/net/server.h"
