@@ -31,8 +31,10 @@
 # previously acked record must answer (`append --verify-from 0`).
 #
 # A multicore stress stage follows tier-1: the concurrency suites, the
-# ADTree trainer suites and the miner equivalence suite run 20 times in
-# shuffled order on the standard build. It exists for bugs no sanitizer reports, such as the RCU
+# ADTree trainer suites, the miner equivalence suite and the blocking
+# primitives (the dynamically scheduled ThreadPool::ParallelFor, batched
+# bitset supports, MfiBlocks) run 20 times in shuffled order on the
+# standard build. It exists for bugs no sanitizer reports, such as the RCU
 # retire/release ordering of DESIGN.md §13: a memory-ordering bug there
 # leaks snapshots without any data race, and shows only under repeated
 # runs on several cores.
@@ -61,9 +63,9 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
 
-echo "==> tier-1: stress (concurrency + trainer + miner suites, repeated and shuffled, nproc=$(nproc))"
+echo "==> tier-1: stress (concurrency + trainer + miner + blocking suites, repeated and shuffled, nproc=$(nproc))"
 ./build/tests/yver_tests --gtest_repeat=20 --gtest_shuffle --gtest_brief=1 \
-    --gtest_filter='IndexManager*:ServicePublish*:Chaos*:Wal*:*Net*:Determinism*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:MinerEquivalence*'
+    --gtest_filter='IndexManager*:ServicePublish*:Chaos*:Wal*:*Net*:Determinism*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:MinerEquivalence*:ThreadPool*:*MfiBlocks*:InvertedIndex*'
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"
@@ -90,7 +92,7 @@ if [[ "$run_tsan" == 1 ]]; then
   # FpGrowth*/FpTree*/MinerEquivalence* mine on pools of 1, 2 and 8: the
   # per-rank tasks read the shared arena tree, and the maximality filter
   # reads every candidate while each task writes its own keep slot
-  # (DESIGN.md §9). InvertedIndex*/MinThreshold* cover the galloping
+  # (DESIGN.md §9). InvertedIndex*/MinThreshold* cover the batched bitset
   # support recount and the chunked sparse-neighborhood scan.
   ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:FpGrowth*:FpTree*:MinerEquivalence*:InvertedIndex*:MinThreshold*'
 
@@ -224,12 +226,14 @@ if [[ "$run_asan" == 1 ]]; then
   # owned-resolver lifetime contract the serving path depends on.
   # FpTree*/FpGrowth*/MinerEquivalence*/*MfiBlocks* cover the arena
   # FP-tree, whose nodes link by raw uint32_t indices, and the CSR
-  # postings of the maximality filter; InvertedIndex* the galloping
-  # cursors' pointer arithmetic. FormatPin*, CaptureFile* and
+  # postings of the maximality filter; InvertedIndex* the bitset rows'
+  # tail masks and word offsets, *MfiBlocks* also the block scorer's
+  # per-thread pmr arena, ThreadPool* the shared ParallelFor cursor and
+  # its lifetime against a rethrown task. FormatPin*, CaptureFile* and
   # *ResolutionIndex* drive the shared util/byte_codec.h reader, whose
   # bounds checks are raw offset arithmetic, through the byte pins, the
   # capture loader and the .yvx loader.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:FpTree*:FpGrowth*:MinerEquivalence*:InvertedIndex*:*MfiBlocks*:FormatPin*:CaptureFile*:*ResolutionIndex*'
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:FpTree*:FpGrowth*:MinerEquivalence*:InvertedIndex*:*MfiBlocks*:ThreadPool*:FormatPin*:CaptureFile*:*ResolutionIndex*'
 fi
 
 echo "==> all checks passed"

@@ -1,6 +1,8 @@
 #include "blocking/block_scoring.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <memory_resource>
 #include <unordered_set>
 #include <vector>
 
@@ -57,7 +59,15 @@ double ClusterJaccardScore(const data::EncodedDataset& encoded,
   const auto& dict = encoded.dictionary;
   double key_weight = 0.0;
   for (data::ItemId id : block.key) key_weight += ItemWeight(dict, weights, id);
-  std::unordered_set<data::ItemId> uni;
+  // The set lives on a per-thread arena, so its nodes and bucket arrays
+  // cost no heap calls. Same element type, hash and insertion sequence as
+  // a default-allocated set, hence the same iteration order and the same
+  // union-weight summation order: the score bits do not depend on the
+  // allocator. Summing in any other order (say, over a mark array) would
+  // change them.
+  thread_local std::vector<std::byte> buffer(64 * 1024);
+  std::pmr::monotonic_buffer_resource arena(buffer.data(), buffer.size());
+  std::pmr::unordered_set<data::ItemId> uni(&arena);
   for (data::RecordIdx r : block.records) {
     for (data::ItemId id : encoded.bags[r]) uni.insert(id);
   }

@@ -1,8 +1,9 @@
 #include "blocking/mfi_blocks.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "blocking/block_scoring.h"
 #include "blocking/neighborhood.h"
@@ -16,18 +17,18 @@ namespace yver::blocking {
 
 namespace {
 
+constexpr uint32_t kNoBlock = UINT32_MAX;
+
 // Hashes a sorted record set for block deduplication: FNV-1a's constants
 // folded over whole record indices rather than bytes.
-struct RecordSetHash {
-  size_t operator()(const std::vector<data::RecordIdx>& v) const {
-    uint64_t h = util::Fnv1a::kOffsetBasis;
-    for (data::RecordIdx r : v) {
-      h ^= r;
-      h *= util::Fnv1a::kPrime;
-    }
-    return static_cast<size_t>(h);
+uint64_t HashRecordSet(const std::vector<data::RecordIdx>& v) {
+  uint64_t h = util::Fnv1a::kOffsetBasis;
+  for (data::RecordIdx r : v) {
+    h ^= r;
+    h *= util::Fnv1a::kPrime;
   }
-};
+  return h;
+}
 
 using PairMap =
     std::unordered_map<data::RecordPair, CandidatePair, data::RecordPairHash>;
@@ -96,49 +97,77 @@ MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
     result.num_mfis_mined += mfis.size();
     result.timings.mine_seconds += timer.ElapsedSeconds();
 
-    // FindSupport: support sets are exactly the mined supports; recompute
-    // membership via a local inverted index to obtain the record lists.
-    // One independent intersection per MFI, written into its own slot and
-    // remapped to global record indices in place.
+    // Filter by block size: 2 <= |B| <= NgCap(ng, minsup) — the same cap
+    // the sparse-neighborhood condition uses. A mined itemset's support
+    // count is the size of its support set, so the filter runs before any
+    // set is built.
     timer.Reset();
+    const size_t max_block_size = NgCap(config.ng, minsup);
+    std::vector<std::vector<data::ItemId>> keys;
+    std::vector<uint32_t> key_support;
+    for (mining::FrequentItemset& mfi : mfis) {
+      if (mfi.support < 2 || mfi.support > max_block_size) continue;
+      keys.push_back(std::move(mfi.items));
+      key_support.push_back(mfi.support);
+    }
+    mfis.clear();
+
+    // FindSupport: recompute membership via a local inverted index to
+    // obtain the record lists, all itemsets in one batch. Each support is
+    // then remapped to global record ids and hashed — in parallel, each
+    // into its own slot.
     data::InvertedIndex index(local_bags, encoded.dictionary.size());
-    std::vector<std::vector<data::RecordIdx>> supports(mfis.size());
-    auto support_one = [&](size_t i) {
-      std::vector<data::RecordIdx> support = index.Support(mfis[i].items);
-      for (auto& r : support) r = local_to_global[r];
-      supports[i] = std::move(support);
+    std::vector<std::vector<data::RecordIdx>> supports =
+        index.Supports(keys, pool);
+    std::vector<uint64_t> hashes(keys.size());
+    auto remap_one = [&](size_t i) {
+      YVER_CHECK(supports[i].size() == key_support[i]);
+      for (auto& r : supports[i]) r = local_to_global[r];
+      hashes[i] = HashRecordSet(supports[i]);
     };
     if (pool != nullptr) {
-      pool->ParallelFor(mfis.size(), support_one);
+      pool->ParallelFor(keys.size(), remap_one);
     } else {
-      for (size_t i = 0; i < mfis.size(); ++i) support_one(i);
+      for (size_t i = 0; i < keys.size(); ++i) remap_one(i);
     }
 
-    // Filter by block size: 2 <= |B| <= NgCap(ng, minsup) — the same cap
-    // the sparse-neighborhood condition uses. Dedup stays serial in MFI
-    // order so the kept key per record set is deterministic.
-    const size_t max_block_size = NgCap(config.ng, minsup);
+    // Dedup stays serial in MFI order so the kept key per record set is
+    // deterministic. With the hashes precomputed it only probes: an
+    // open-addressing table of block ids, linear probing from the hash.
+    // Distinct maximal (or closed) itemsets have distinct supports
+    // (DESIGN.md §9), so only a capped miner's output ever merges here.
     std::vector<Block> blocks;
-    std::unordered_map<std::vector<data::RecordIdx>, size_t, RecordSetHash>
-        dedup;
-    for (size_t i = 0; i < mfis.size(); ++i) {
-      std::vector<data::RecordIdx>& support = supports[i];
-      if (support.size() < 2 || support.size() > max_block_size) continue;
-      auto [it, inserted] = dedup.try_emplace(std::move(support), blocks.size());
-      if (!inserted) {
+    std::vector<uint32_t> block_support;  // block -> its supports[] slot
+    const size_t table_mask = std::bit_ceil(2 * keys.size() + 1) - 1;
+    std::vector<uint32_t> table(table_mask + 1, kNoBlock);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      // Fold the high half in: FNV's multiply only carries upwards.
+      size_t pos = (hashes[i] ^ (hashes[i] >> 32)) & table_mask;
+      while (table[pos] != kNoBlock) {
+        const uint32_t other = block_support[table[pos]];
+        if (hashes[other] == hashes[i] && supports[other] == supports[i]) {
+          break;
+        }
+        pos = (pos + 1) & table_mask;
+      }
+      if (table[pos] != kNoBlock) {
         // Same record set reachable via several keys: keep the longer key
         // (more shared content; scores higher under ClusterJaccard).
-        Block& existing = blocks[it->second];
-        if (mfis[i].items.size() > existing.key.size()) {
-          existing.key = std::move(mfis[i].items);
+        Block& existing = blocks[table[pos]];
+        if (keys[i].size() > existing.key.size()) {
+          existing.key = std::move(keys[i]);
         }
         continue;
       }
+      table[pos] = static_cast<uint32_t>(blocks.size());
       Block block;
-      block.key = std::move(mfis[i].items);
-      block.records = it->first;
+      block.key = std::move(keys[i]);
       block.minsup_level = minsup;
       blocks.push_back(std::move(block));
+      block_support.push_back(static_cast<uint32_t>(i));
+    }
+    for (size_t b = 0; b < blocks.size(); ++b) {
+      blocks[b].records = std::move(supports[block_support[b]]);
     }
     result.num_blocks_considered += blocks.size();
     result.timings.support_seconds += timer.ElapsedSeconds();

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "data/item_dictionary.h"
+#include "util/thread_pool.h"
 
 namespace yver::data {
 
@@ -22,16 +23,31 @@ class InvertedIndex {
     return postings_[item];
   }
 
-  /// Records containing every item of `itemset` (sorted ascending). Walks
-  /// the rarest item's postings and gallops through the others with
-  /// forward-only cursors, without copying any list. Duplicate items in
-  /// `itemset` are allowed.
-  std::vector<RecordIdx> Support(const std::vector<ItemId>& itemset) const;
+  /// The support set of every itemset at once: out[i] holds the records
+  /// containing every item of itemsets[i], ascending (empty for an empty
+  /// itemset). Items may come in any order and repeat; each must be
+  /// < num_items().
+  ///
+  /// Itemsets are grouped by their rarest item (fewest postings, ties to
+  /// the lower id). A group gets one bitset over that item's postings per
+  /// other item its itemsets use, so memory stays bounded by one group's
+  /// working set, and fills them in one pass over the bags of the rarest
+  /// item's records; each itemset ANDs its items' bitsets and reads the
+  /// set bits back as record ids. Groups run on `pool` when it is
+  /// non-null; each writes only its own itemsets' slots, so the result
+  /// does not depend on the pool.
+  std::vector<std::vector<RecordIdx>> Supports(
+      const std::vector<std::vector<ItemId>>& itemsets,
+      util::ThreadPool* pool = nullptr) const;
 
   size_t num_items() const { return postings_.size(); }
 
  private:
   std::vector<std::vector<RecordIdx>> postings_;
+  // The bags in CSR form: record r's items are
+  // bag_items_[bag_offsets_[r] .. bag_offsets_[r + 1]).
+  std::vector<size_t> bag_offsets_;
+  std::vector<ItemId> bag_items_;
 };
 
 }  // namespace yver::data

@@ -149,7 +149,7 @@ util::Status ResolutionIndex::Save(const std::string& path) const {
 }
 
 util::StatusOr<ResolutionIndex> ResolutionIndex::Load(
-    const std::string& path) {
+    const std::string& path, std::optional<size_t> corpus_records) {
   std::ifstream f(path, std::ios::binary);
   if (!f) return util::Status::NotFound("cannot read " + path);
   util::Status injected =
@@ -175,6 +175,11 @@ util::StatusOr<ResolutionIndex> ResolutionIndex::Load(
     return util::Status::DataLoss(path + ": record count " +
                                   std::to_string(num_records) +
                                   " exceeds the record index range");
+  }
+  if (corpus_records.has_value() && num_records != *corpus_records) {
+    return util::Status::DataLoss(
+        path + ": index covers " + std::to_string(num_records) +
+        " records but the corpus has " + std::to_string(*corpus_records));
   }
   ResolutionIndex index;
   index.num_records_ = static_cast<size_t>(num_records);
@@ -211,9 +216,10 @@ util::StatusOr<ResolutionIndex> ResolutionIndex::Load(
 
 util::StatusOr<ResolutionIndex> ResolutionIndex::LoadWithRetry(
     const std::string& path, const util::RetryPolicy& policy,
-    util::RetryStats* stats, const util::Deadline& deadline) {
+    util::RetryStats* stats, const util::Deadline& deadline,
+    std::optional<size_t> corpus_records) {
   return util::RetryWithPolicy(
-      policy, [&path] { return Load(path); }, stats, deadline);
+      policy, [&] { return Load(path, corpus_records); }, stats, deadline);
 }
 
 }  // namespace yver::serve

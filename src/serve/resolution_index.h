@@ -2,6 +2,7 @@
 #define YVER_SERVE_RESOLUTION_INDEX_H_
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -93,10 +94,14 @@ class ResolutionIndex {
 
   /// Loads an artifact written by Save. NOT_FOUND when the file cannot be
   /// opened, DATA_LOSS on bad magic / version / truncation / a record
-  /// count beyond the data::RecordIdx range / malformed pairs / an
-  /// unsorted arena / a checksum mismatch. Fault-injection points:
+  /// count beyond the data::RecordIdx range / a record count other than
+  /// `corpus_records` (when given) / malformed pairs / an unsorted arena /
+  /// a checksum mismatch. Both record-count checks run on the header,
+  /// before anything is sized by the count. Fault-injection points:
   /// serve.index_load.open, serve.index_load.read (util::FaultInjector).
-  static util::StatusOr<ResolutionIndex> Load(const std::string& path);
+  static util::StatusOr<ResolutionIndex> Load(
+      const std::string& path,
+      std::optional<size_t> corpus_records = std::nullopt);
 
   /// Load wrapped in util::RetryWithPolicy: transient failures
   /// (UNAVAILABLE, DATA_LOSS — a torn concurrent write looks like
@@ -106,7 +111,8 @@ class ResolutionIndex {
   static util::StatusOr<ResolutionIndex> LoadWithRetry(
       const std::string& path, const util::RetryPolicy& policy = {},
       util::RetryStats* stats = nullptr,
-      const util::Deadline& deadline = util::Deadline());
+      const util::Deadline& deadline = util::Deadline(),
+      std::optional<size_t> corpus_records = std::nullopt);
 
  private:
   size_t num_records_ = 0;

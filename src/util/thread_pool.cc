@@ -53,9 +53,20 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  ParallelForChunked(n, [&fn](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-  });
+  if (n == 0) return;
+  // One claiming loop per worker over a shared cursor: a worker that drew
+  // cheap indices comes back for more, so a few expensive indices never
+  // hold up a whole static chunk behind them. Each fetch_add hands out an
+  // index exactly once; Wait() orders every fn(i) before the return and
+  // outlives every reference to `next`.
+  std::atomic<size_t> next{0};
+  const size_t loops = std::min(n, num_threads());
+  for (size_t t = 0; t < loops; ++t) {
+    Submit([&next, n, &fn] {
+      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) fn(i);
+    });
+  }
+  Wait();
 }
 
 void ThreadPool::ParallelForChunked(

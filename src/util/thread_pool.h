@@ -54,15 +54,20 @@ class ThreadPool {
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
 
-  /// Convenience: runs fn(i) for i in [0, n) across the pool and waits.
-  /// Work is chunked to keep per-task overhead low.
+  /// Runs fn(i) for every i in [0, n) across the pool and waits. Indices
+  /// are handed out dynamically, one at a time from a shared cursor, so
+  /// which worker runs which index (and in what order) depends on
+  /// scheduling: fn must write only index-addressed state. Skewed per-index
+  /// costs balance across the workers. A throwing fn(i) ends its worker's
+  /// loop (the others finish the range) and is rethrown here.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  /// Splits [0, n) into contiguous chunks and runs fn(begin, end) for each
-  /// across the pool, then waits. One fn call per task, so callers can
-  /// amortize per-task state (scratch buffers) over a whole chunk. Chunk
-  /// boundaries depend only on n and num_threads(), never on scheduling,
-  /// which is what lets chunk-indexed output slots stay deterministic.
+  /// Splits [0, n) into static contiguous chunks and runs fn(begin, end)
+  /// for each across the pool, then waits. One fn call per task, so
+  /// callers can amortize per-task state (scratch buffers) over a whole
+  /// chunk. Chunk boundaries depend only on n and num_threads(), never on
+  /// scheduling, which is what lets chunk-indexed output slots stay
+  /// deterministic.
   void ParallelForChunked(
       size_t n, const std::function<void(size_t, size_t)>& fn);
 

@@ -1,7 +1,7 @@
 // The two blocking primitives behind support recomputation and the
-// sparse-neighborhood threshold, checked against plain references:
-// galloping InvertedIndex::Support against a std::set_intersection chain,
-// and ComputeMinThreshold at every pool size against a per-record
+// sparse-neighborhood threshold, checked against plain references: the
+// batched bitset InvertedIndex::Supports against a std::set_intersection
+// chain, and ComputeMinThreshold at every pool size against a per-record
 // std::unordered_set scan.
 
 #include <algorithm>
@@ -54,7 +54,27 @@ std::vector<ItemBag> SkewedBags(util::Rng& rng, size_t num_bags,
   return bags;
 }
 
-TEST(InvertedIndexGallopTest, MatchesSetIntersectionOnRandomPostings) {
+// Supports over the whole batch, serially and on pools of 1, 2 and 8, each
+// checked itemset by itemset against the set_intersection chain.
+void ExpectSupportsMatchOracle(const data::InvertedIndex& index,
+                               const std::vector<std::vector<ItemId>>& batch,
+                               const std::string& context) {
+  std::vector<std::vector<RecordIdx>> serial = index.Supports(batch);
+  ASSERT_EQ(serial.size(), batch.size()) << context;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    std::string items;
+    for (ItemId item : batch[i]) items += std::to_string(item) + " ";
+    EXPECT_EQ(serial[i], NaiveSupport(index, batch[i]))
+        << context << " itemset {" << items << "}";
+  }
+  for (size_t threads : {1, 2, 8}) {
+    util::ThreadPool pool(threads);
+    EXPECT_EQ(index.Supports(batch, &pool), serial)
+        << context << " threads " << threads;
+  }
+}
+
+TEST(InvertedIndexSupportsTest, MatchesSetIntersectionOnRandomPostings) {
   util::Rng rng(3);
   for (int trial = 0; trial < 20; ++trial) {
     const size_t alphabet = 40;
@@ -62,6 +82,7 @@ TEST(InvertedIndexGallopTest, MatchesSetIntersectionOnRandomPostings) {
     // the index leaves the last three with empty postings.
     std::vector<ItemBag> bags = SkewedBags(rng, 300, alphabet);
     data::InvertedIndex index(bags, alphabet + 3);
+    std::vector<std::vector<ItemId>> batch;
     for (int q = 0; q < 200; ++q) {
       std::vector<ItemId> itemset;
       size_t len = static_cast<size_t>(rng.UniformInt(1, 6));
@@ -74,13 +95,13 @@ TEST(InvertedIndexGallopTest, MatchesSetIntersectionOnRandomPostings) {
       }
       if (rng.UniformDouble() < 0.2) itemset.push_back(itemset[0]);
       std::sort(itemset.begin(), itemset.end());
-      EXPECT_EQ(index.Support(itemset), NaiveSupport(index, itemset))
-          << "trial " << trial << " query " << q;
+      batch.push_back(std::move(itemset));
     }
+    ExpectSupportsMatchOracle(index, batch, "trial " + std::to_string(trial));
   }
 }
 
-TEST(InvertedIndexGallopTest, EdgeCases) {
+TEST(InvertedIndexSupportsTest, EdgeCases) {
   // Postings: 0 -> {0..39}, 1 -> {3, 60}, 2 -> {50, 99}, 3 -> {},
   // 4 -> every even record.
   std::vector<ItemBag> bags(100);
@@ -105,16 +126,62 @@ TEST(InvertedIndexGallopTest, EdgeCases) {
       {0, 1},     // rarest list outlasts the other after a match
       {0, 1, 4},  // three lists, match then exhaustion
       {2, 4},     // rarest list ends inside the other
+      {4, 0},     // unsorted items
   };
-  for (const auto& q : queries) {
-    std::string context;
-    for (ItemId item : q) context += std::to_string(item) + " ";
-    EXPECT_EQ(index.Support(q), NaiveSupport(index, q)) << "{" << context
-                                                        << "}";
+  ExpectSupportsMatchOracle(index, queries, "edge cases");
+  auto supports = index.Supports(queries);
+  EXPECT_TRUE(supports[0].empty());
+  EXPECT_TRUE(supports[7].empty());
+  EXPECT_EQ(supports[8], (std::vector<RecordIdx>{3}));
+  EXPECT_EQ(supports[5], (std::vector<RecordIdx>{3, 60}));
+  EXPECT_TRUE(index.Supports({}).empty());
+}
+
+// The bitset walk's boundaries: rarest lists of exactly 64·k and 64·k + 1
+// records (a full last word and a one-bit tail), duplicate and single
+// items, and groups whose rarest item sits in nearly every record.
+TEST(InvertedIndexSupportsTest, WordBoundariesAndFrequentRarestItems) {
+  const RecordIdx n = 400;
+  std::vector<ItemBag> bags(n);
+  // Items 0..5: the first 64, 65, 128, 129, 192 and 193 records.
+  const RecordIdx prefix_sizes[] = {64, 65, 128, 129, 192, 193};
+  for (ItemId item = 0; item < 6; ++item) {
+    for (RecordIdx r = 0; r < prefix_sizes[item]; ++r) bags[r].push_back(item);
   }
-  EXPECT_TRUE(index.Support({0, 2}).empty());
-  EXPECT_EQ(index.Support({0, 1}), (std::vector<RecordIdx>{3}));
-  EXPECT_EQ(index.Support({1, 1}), (std::vector<RecordIdx>{3, 60}));
+  // Items 6..8: nearly everywhere (all but every 7th, 11th, 13th record);
+  // item 9: every record.
+  const RecordIdx skip[] = {7, 11, 13};
+  for (ItemId item = 6; item < 9; ++item) {
+    for (RecordIdx r = 0; r < n; ++r) {
+      if (r % skip[item - 6] != 0) bags[r].push_back(item);
+    }
+  }
+  for (RecordIdx r = 0; r < n; ++r) bags[r].push_back(9);
+  // Items 10..29: random, about half the records each.
+  util::Rng rng(11);
+  for (RecordIdx r = 0; r < n; ++r) {
+    for (ItemId item = 10; item < 30; ++item) {
+      if (rng.UniformDouble() < 0.5) bags[r].push_back(item);
+    }
+  }
+  data::InvertedIndex index(bags, 30);
+
+  std::vector<std::vector<ItemId>> batch = {
+      {0},       {1},       {2},       {3},       {4},    {5},
+      {0, 9},    {1, 9},    {3, 9},    {5, 9},    {9},    {9, 9},
+      {6, 7},    {6, 7, 8}, {7, 8, 9}, {6, 6, 7}, {1, 1}, {5, 6, 7, 8, 9},
+      {0, 1, 2}, {1, 3, 5}, {4, 10},   {5, 11, 12},
+  };
+  for (int q = 0; q < 300; ++q) {
+    std::vector<ItemId> itemset;
+    size_t len = static_cast<size_t>(rng.UniformInt(1, 5));
+    for (size_t i = 0; i < len; ++i) {
+      itemset.push_back(static_cast<ItemId>(rng.UniformInt(0, 29)));
+    }
+    if (rng.UniformDouble() < 0.2) itemset.push_back(itemset.back());
+    batch.push_back(std::move(itemset));
+  }
+  ExpectSupportsMatchOracle(index, batch, "word boundaries");
 }
 
 // The pre-parallel scan: one neighbor hash set per record, blocks visited

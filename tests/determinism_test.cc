@@ -149,7 +149,7 @@ TEST(DeterminismTest, BlockingThreadMatrixProducesIdenticalResults) {
       << "corpus produced no candidate pairs; the matrix is vacuous";
   ASSERT_FALSE(serial.blocks.empty());
 
-  for (size_t num_threads : {size_t{2}, size_t{8}}) {
+  for (size_t num_threads : {size_t{1}, size_t{2}, size_t{8}}) {
     util::ThreadPool pool(num_threads);
     auto parallel = blocking::RunMfiBlocks(encoded, config, &pool);
     EXPECT_EQ(parallel.blocks, serial.blocks)

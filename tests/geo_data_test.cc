@@ -255,13 +255,14 @@ TEST(InvertedIndexTest, SupportIntersection) {
       {0, 1, 2}, {0, 1}, {1, 2}, {0, 1, 2, 3}};
   data::InvertedIndex index(bags, 4);
   EXPECT_EQ(index.Postings(1).size(), 4u);
-  auto support = index.Support({0, 1});
-  ASSERT_EQ(support.size(), 3u);
-  EXPECT_EQ(support[0], 0u);
-  EXPECT_EQ(support[2], 3u);
-  EXPECT_EQ(index.Support({0, 2}).size(), 2u);
-  EXPECT_TRUE(index.Support({3, 2, 0, 1}).size() == 1);
-  EXPECT_TRUE(index.Support({}).empty());
+  auto supports = index.Supports({{0, 1}, {0, 2}, {3, 2, 0, 1}, {}});
+  ASSERT_EQ(supports.size(), 4u);
+  ASSERT_EQ(supports[0].size(), 3u);
+  EXPECT_EQ(supports[0][0], 0u);
+  EXPECT_EQ(supports[0][2], 3u);
+  EXPECT_EQ(supports[1].size(), 2u);
+  EXPECT_EQ(supports[2], (std::vector<data::RecordIdx>{3}));
+  EXPECT_TRUE(supports[3].empty());
 }
 
 // ---------------------------------------------------------------------------

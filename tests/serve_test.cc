@@ -221,6 +221,45 @@ TEST(ResolutionIndexLoadTest, RecordCountBeyondRecordIdxIsDataLoss) {
   }
 }
 
+// A checksum-valid artifact that declares 2^32 - 1 records and no matches
+// passes every check a file can make on itself, and sizing the adjacency's
+// offset table by that count would take 16 GB. Given the corpus size, Load
+// refuses it from the header, before anything is sized.
+TEST(ResolutionIndexLoadTest, RecordCountBeyondCorpusIsDataLoss) {
+  std::string body;
+  util::PutLe<uint64_t>(&body, std::numeric_limits<data::RecordIdx>::max());
+  util::PutLe<uint64_t>(&body, 0);  // num_matches
+  std::string bytes = "YVERIDX1" + body;
+  util::PutLe<uint64_t>(&bytes, util::Fnv1aOf(body));
+  std::string path = TempPath("corpus-mismatch.yvx");
+  { std::ofstream(path, std::ios::binary) << bytes; }
+  auto loaded = ResolutionIndex::Load(path, /*corpus_records=*/100);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kDataLoss)
+      << loaded.status().ToString();
+  util::RetryPolicy policy;
+  policy.sleep_fn = [](double) {};
+  auto retried = ResolutionIndex::LoadWithRetry(path, policy, nullptr,
+                                                util::Deadline(), 100);
+  EXPECT_EQ(retried.status().code(), util::StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST_F(ResolutionIndexTest, LoadChecksRecordCountAgainstCorpus) {
+  std::string path = TempPath("corpus-check.yvx");
+  ASSERT_TRUE(index_.Save(path).ok());
+  auto matching = ResolutionIndex::Load(path, index_.num_records());
+  ASSERT_TRUE(matching.ok()) << matching.status().ToString();
+  EXPECT_EQ(matching->Checksum(), index_.Checksum());
+  for (size_t other : {size_t{0}, index_.num_records() - 1,
+                       index_.num_records() + 1}) {
+    EXPECT_EQ(ResolutionIndex::Load(path, other).status().code(),
+              util::StatusCode::kDataLoss)
+        << other;
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(ResolutionIndexTest, ClustersMatchEntityClusters) {
   core::EntityClusters direct(resolution_, kRecords, 0.4);
   core::EntityClusters sliced = index_.ClustersAt(0.4);

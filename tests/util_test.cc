@@ -1,7 +1,9 @@
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -359,6 +361,63 @@ TEST(ThreadPoolTest, ParallelForPropagatesTaskException) {
   std::atomic<int> hits{0};
   pool.ParallelFor(64, [&hits](size_t) { hits.fetch_add(1); });
   EXPECT_EQ(hits.load(), 64);
+}
+
+// Indices are claimed dynamically: while index 0 holds its worker until
+// every other index has run, the remaining workers must drain the whole
+// rest of the range. A static split would strand index 0's chunk-mates
+// behind it and the wait would time out.
+TEST(ThreadPoolTest, ParallelForDrainsRangeAroundOneSlowIndex) {
+  ThreadPool pool(3);
+  constexpr size_t kN = 1000;
+  std::vector<std::atomic<int>> hits(kN);
+  std::atomic<size_t> done{0};
+  std::atomic<bool> drained{false};
+  pool.ParallelFor(kN, [&](size_t i) {
+    hits[i].fetch_add(1);
+    if (i == 0) {
+      auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (done.load() < kN - 1 && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      drained = done.load() == kN - 1;
+      return;
+    }
+    done.fetch_add(1);
+  });
+  EXPECT_TRUE(drained.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+// Heavily skewed per-index cost — a few indices spin for milliseconds, the
+// rest are free — still visits each index exactly once, and an exception
+// from a slow index is rethrown after the others finish the range.
+TEST(ThreadPoolTest, ParallelForSkewedCostVisitsEachIndexOnceAndRethrows) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 513;
+  auto slow = [](size_t i) { return i % 97 == 5; };
+  auto spin = [] {
+    auto until = std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+  };
+  for (bool throw_at_slow : {false, true}) {
+    std::vector<std::atomic<int>> hits(kN);
+    auto body = [&](size_t i) {
+      hits[i].fetch_add(1);
+      if (!slow(i)) return;
+      spin();
+      if (throw_at_slow && i == 5) throw std::runtime_error("slow index");
+    };
+    if (throw_at_slow) {
+      EXPECT_THROW(pool.ParallelFor(kN, body), std::runtime_error);
+    } else {
+      pool.ParallelFor(kN, body);
+    }
+    for (size_t i = 0; i < kN; ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " throw " << throw_at_slow;
+    }
+  }
 }
 
 TEST(ThreadPoolTest, WaitIsReusable) {

@@ -658,17 +658,14 @@ std::shared_ptr<const serve::ResolutionIndex> LoadIndexOrDie(
   // as DATA_LOSS; NFS hiccups as UNAVAILABLE) before giving up.
   util::RetryStats retry_stats;
   if (!options.index_path.empty()) {
+    // The record count is checked against the dataset before the index
+    // sizes anything by it.
     auto loaded = serve::ResolutionIndex::LoadWithRetry(
-        options.index_path, util::RetryPolicy{}, &retry_stats);
+        options.index_path, util::RetryPolicy{}, &retry_stats,
+        util::Deadline(), dataset.size());
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s (after %d attempt(s))\n",
                    loaded.status().ToString().c_str(), retry_stats.attempts);
-      std::exit(1);
-    }
-    if (loaded->num_records() != dataset.size()) {
-      std::fprintf(stderr,
-                   "index covers %zu records but dataset has %zu\n",
-                   loaded->num_records(), dataset.size());
       std::exit(1);
     }
     return std::make_shared<const serve::ResolutionIndex>(
