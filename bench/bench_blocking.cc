@@ -1,6 +1,7 @@
 // Blocking-stage thread sweep: RunMfiBlocks at 1 thread vs N threads on a
 // synthetic corpus, reporting candidate pairs/sec and the per-substage
-// wall-time breakdown (mine / support / score / threshold / emit). The
+// wall-time breakdown (mine / support / score / threshold / emit) and how
+// many of the considered blocks had to be scored. The
 // sweep asserts output identity between the serial and every parallel run
 // (the blocking determinism contract) before reporting any number, and
 // writes a JSON record (--out) so the repo can track the perf trajectory
@@ -145,6 +146,7 @@ bool SameResult(const blocking::MfiBlocksResult& a,
   return a.blocks == b.blocks && a.pairs == b.pairs &&
          a.num_mfis_mined == b.num_mfis_mined &&
          a.num_blocks_considered == b.num_blocks_considered &&
+         a.num_blocks_scored == b.num_blocks_scored &&
          a.num_records_covered == b.num_records_covered;
 }
 
@@ -210,9 +212,11 @@ int main(int argc, char** argv) {
   double speedup = sweep.size() > 1 && sweep.back().seconds > 0.0
                        ? sweep.front().seconds / sweep.back().seconds
                        : 1.0;
-  std::printf("blocks=%zu pairs=%zu mfis=%zu  speedup(%zu->%zu threads)=%.2fx\n",
+  std::printf("blocks=%zu pairs=%zu mfis=%zu considered=%zu scored=%zu  "
+              "speedup(%zu->%zu threads)=%.2fx\n",
               reference.blocks.size(), reference.pairs.size(),
-              reference.num_mfis_mined, sweep.front().threads,
+              reference.num_mfis_mined, reference.num_blocks_considered,
+              reference.num_blocks_scored, sweep.front().threads,
               sweep.back().threads, speedup);
 
   if (!options.out.empty()) {
@@ -230,6 +234,9 @@ int main(int argc, char** argv) {
         << "  \"blocks\": " << reference.blocks.size() << ",\n"
         << "  \"pairs\": " << reference.pairs.size() << ",\n"
         << "  \"mfis_mined\": " << reference.num_mfis_mined << ",\n"
+        << "  \"blocks_considered\": " << reference.num_blocks_considered
+        << ",\n"
+        << "  \"blocks_scored\": " << reference.num_blocks_scored << ",\n"
         << "  \"identity_across_thread_counts\": true,\n"
         << "  \"sweep\": [\n";
     for (size_t i = 0; i < sweep.size(); ++i) {

@@ -33,7 +33,8 @@
 # A multicore stress stage follows tier-1: the concurrency suites, the
 # ADTree trainer suites, the miner equivalence suite and the blocking
 # primitives (the dynamically scheduled ThreadPool::ParallelFor, batched
-# bitset supports, MfiBlocks) run 20 times in shuffled order on the
+# bitset supports, MfiBlocks and its bound-pruned scoring against the
+# score-everything reference) run 20 times in shuffled order on the
 # standard build. It exists for bugs no sanitizer reports, such as the RCU
 # retire/release ordering of DESIGN.md §13: a memory-ordering bug there
 # leaks snapshots without any data race, and shows only under repeated
@@ -65,7 +66,7 @@ ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
 
 echo "==> tier-1: stress (concurrency + trainer + miner + blocking suites, repeated and shuffled, nproc=$(nproc))"
 ./build/tests/yver_tests --gtest_repeat=20 --gtest_shuffle --gtest_brief=1 \
-    --gtest_filter='IndexManager*:ServicePublish*:Chaos*:Wal*:*Net*:Determinism*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:MinerEquivalence*:ThreadPool*:*MfiBlocks*:InvertedIndex*'
+    --gtest_filter='IndexManager*:ServicePublish*:Chaos*:Wal*:*Net*:Determinism*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:MinerEquivalence*:ThreadPool*:*MfiBlocks*:InvertedIndex*:ScoreBound*:BoundedThreshold*:*ReferenceMfiBlocks*'
 
 if [[ "$run_tsan" == 1 ]]; then
   echo "==> tier-1: ThreadSanitizer race check (serve layer + pipeline/blocking determinism)"
@@ -93,8 +94,11 @@ if [[ "$run_tsan" == 1 ]]; then
   # per-rank tasks read the shared arena tree, and the maximality filter
   # reads every candidate while each task writes its own keep slot
   # (DESIGN.md §9). InvertedIndex*/MinThreshold* cover the batched bitset
-  # support recount and the chunked sparse-neighborhood scan.
-  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:FpGrowth*:FpTree*:MinerEquivalence*:InvertedIndex*:MinThreshold*'
+  # support recount and the chunked sparse-neighborhood scan;
+  # ScoreBound*/BoundedThreshold*/*ReferenceMfiBlocks* the bound-pruned
+  # scoring, whose tasks write shared score and scored-flag slots and read
+  # a per-thread mark array, against the score-everything reference.
+  ./build-tsan/tests/yver_tests --gtest_filter='*Serve*:*Service*:ShardedQueryCache*:*ResolutionIndex*:StatusTest*:Determinism*:GoldenPipeline*:*MfiBlocks*:*ThreadPool*:ChaosTest*:AdmissionController*:FaultInjector*:RetryTest*:DeadlineTest*:*Wire*:*Net*:CaptureFile*:IndexManager*:LiveIndexBuilder*:Wal*:Gazetteer*:AdTreeTrainerTest*:ThreeClassTest*:AdTreeEquivalence*:FpGrowth*:FpTree*:MinerEquivalence*:InvertedIndex*:MinThreshold*:ScoreBound*:BoundedThreshold*:*ReferenceMfiBlocks*'
 
   echo "==> tier-1: loopback serve/loadgen smoke (TSan binaries, record/replay)"
   # End-to-end over a real socket: a TSan-built server on an ephemeral
@@ -229,11 +233,13 @@ if [[ "$run_asan" == 1 ]]; then
   # postings of the maximality filter; InvertedIndex* the bitset rows'
   # tail masks and word offsets, *MfiBlocks* also the block scorer's
   # per-thread pmr arena, ThreadPool* the shared ParallelFor cursor and
-  # its lifetime against a rethrown task. FormatPin*, CaptureFile* and
-  # *ResolutionIndex* drive the shared util/byte_codec.h reader, whose
-  # bounds checks are raw offset arithmetic, through the byte pins, the
-  # capture loader and the .yvx loader.
-  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:FpTree*:FpGrowth*:MinerEquivalence*:InvertedIndex*:*MfiBlocks*:ThreadPool*:FormatPin*:CaptureFile*:*ResolutionIndex*'
+  # its lifetime against a rethrown task; ScoreBound*/BoundedThreshold*/
+  # *ReferenceMfiBlocks* the union bound's per-thread mark array, grown
+  # per dictionary, and the index-subset threshold passes. FormatPin*,
+  # CaptureFile* and *ResolutionIndex* drive the shared util/byte_codec.h
+  # reader, whose bounds checks are raw offset arithmetic, through the
+  # byte pins, the capture loader and the .yvx loader.
+  ./build-asan/tests/yver_tests --gtest_filter='*Feature*:*Qgram*:*QGram*:*Jaccard*:*Geo*:Determinism*:GoldenPipeline*:*Incremental*:ChaosTest*:ArtifactFuzzTest*:CsvLenientTest*:ServiceRobustness*:IndexManager*:LiveIndexBuilder*:ServicePublish*:*Wire*:NetLiveIngest*:Wal*:Gazetteer*:FpTree*:FpGrowth*:MinerEquivalence*:InvertedIndex*:*MfiBlocks*:ThreadPool*:FormatPin*:CaptureFile*:*ResolutionIndex*:ScoreBound*:BoundedThreshold*:*ReferenceMfiBlocks*'
 fi
 
 echo "==> all checks passed"

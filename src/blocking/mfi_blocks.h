@@ -46,24 +46,26 @@ struct MfiBlocksConfig {
   /// Fraction of most frequent distinct items pruned before mining
   /// (paper §6.3 prunes 0.03% = 0.0003).
   double prune_frequent_fraction = 0.0;
-
-  /// Safety cap on MFIs mined per iteration (0 = unlimited).
-  size_t max_mfis_per_iteration = 0;
 };
 
 /// Wall-clock breakdown of one RunMfiBlocks call, summed across minsup
 /// iterations. Surfaced through core::StageTimings so `resolve --profile`
 /// can show where the blocking stage spends its time.
 struct BlockingTimings {
-  /// FP-Growth itemset mining (MineMaximalItemsets / MineClosedItemsets).
+  /// Uncovered-bag gather and FP-Growth itemset mining
+  /// (MineMaximalItemsets / MineClosedItemsets).
   double mine_seconds = 0.0;
-  /// Support recomputation via the inverted index + block build/dedup.
+  /// Support recomputation via the inverted index, and the life of the
+  /// considered blocks: their build, and the teardown of those the
+  /// threshold drops.
   double support_seconds = 0.0;
-  /// Block scoring (ClusterJaccard / ExpertSim).
+  /// Bag weights, score upper bounds, seed selection and block scoring
+  /// (ClusterJaccard / ExpertSim).
   double score_seconds = 0.0;
-  /// Sparse-neighborhood minTh derivation + block filtering.
+  /// Both sparse-neighborhood minTh passes and block filtering.
   double threshold_seconds = 0.0;
-  /// Candidate-pair emission + coverage bookkeeping.
+  /// Candidate-pair emission + coverage bookkeeping, pair-map teardown
+  /// included.
   double emit_seconds = 0.0;
 
   double TotalSeconds() const {
@@ -83,6 +85,8 @@ struct MfiBlocksResult {
   /// Diagnostics.
   size_t num_mfis_mined = 0;
   size_t num_blocks_considered = 0;
+  /// Blocks whose score was computed: the rest could not beat minTh.
+  size_t num_blocks_scored = 0;
   size_t num_records_covered = 0;
 
   /// Per-substage wall time of this run.
@@ -96,16 +100,28 @@ struct MfiBlocksResult {
 /// sparse-neighborhood condition via a derived minimum score threshold,
 /// and emits candidate pairs.
 ///
+/// Only blocks that can beat the threshold are scored. Each block gets a
+/// score upper bound (ClusterJaccardUpperBound; +inf under ExpertSim),
+/// the kSeedFraction of blocks with the highest bounds are scored, and
+/// their threshold L is a lower bound on the true minTh. Blocks whose
+/// bound exceeds L are scored too, unless ClusterJaccardUnionBound puts
+/// them at or below L, and minTh = max(L, threshold of the blocks scoring
+/// above L), which equals the threshold over all blocks (DESIGN.md §9).
+/// No unscored block can be kept, so the result is that of scoring every
+/// block.
+///
 /// `pool` parallelizes the whole stage (it stands in for the paper's
 /// Spark cluster): MFI mining runs per conditional-tree rank and its
-/// maximality filter per candidate, support recomputation and block
-/// scoring run per block, the sparse-neighborhood threshold runs per
-/// record chunk, and candidate-pair emission builds per-chunk local pair
-/// maps that are merged in chunk order. Per-minsup iterations stay serial, as Algorithm 1's coverage
-/// loop requires. Determinism contract: the returned MfiBlocksResult is
-/// byte-identical for every pool size including nullptr — every parallel
-/// substage writes into index-addressed slots or merges in a
-/// scheduling-invariant order (tests/determinism_test.cc enforces this).
+/// maximality filter per candidate chunk, support recomputation per
+/// rarest-item group, the bounds per block chunk, block scoring per
+/// block, the sparse-neighborhood threshold per record chunk, and
+/// candidate-pair emission builds per-chunk local pair maps that are
+/// merged in chunk order. Per-minsup iterations stay serial, as
+/// Algorithm 1's coverage loop requires. Determinism contract: the
+/// returned MfiBlocksResult is byte-identical for every pool size
+/// including nullptr — every parallel substage writes into index-addressed
+/// slots or merges in a scheduling-invariant order
+/// (tests/determinism_test.cc enforces this).
 MfiBlocksResult RunMfiBlocks(const data::EncodedDataset& encoded,
                              const MfiBlocksConfig& config,
                              util::ThreadPool* pool = nullptr);

@@ -327,8 +327,9 @@ struct MaxMiner {
 // a stored strict superset of its own. Candidates a per-rank store
 // already saw to be strictly contained are dropped here too, by the
 // second clause. The predicate reads only the candidates, so it runs per
-// candidate on the pool, through a dense item -> candidate postings index,
-// writing into a keep slot; survivors are gathered serially in order.
+// candidate chunk on the pool, through a dense item -> candidate postings
+// index, writing into a keep slot; survivors are gathered serially in
+// order.
 std::vector<FrequentItemset> FilterSubsumed(
     std::vector<FrequentItemset> candidates, util::ThreadPool* pool) {
   const size_t m = candidates.size();
@@ -385,10 +386,13 @@ std::vector<FrequentItemset> FilterSubsumed(
     }
     keep[i] = 1;
   };
+  auto check_range = [&check](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) check(i);
+  };
   if (pool != nullptr && pool->num_threads() > 1) {
-    pool->ParallelFor(m, check);
+    pool->ParallelForChunked(m, check_range);
   } else {
-    for (size_t i = 0; i < m; ++i) check(i);
+    check_range(0, m);
   }
   std::vector<FrequentItemset> out;
   for (size_t i = 0; i < m; ++i) {

@@ -26,6 +26,16 @@ size_t ResolveNumThreads(size_t requested);
 /// list across workers (see blocking::MfiBlocks). Tasks are void thunks;
 /// callers aggregate results through their own synchronized sinks or by
 /// sharding output slots per task.
+///
+/// Which loop to use: ParallelFor claims one index at a time from a shared
+/// atomic cursor, which balances skewed work but costs a contended
+/// fetch_add per index. Use it when one index is coarse and its cost
+/// varies: a conditional-tree rank, a rarest-item support group, a block
+/// score (microseconds and up). Use ParallelForChunked (or its Indexed
+/// form) for fine-grained, even work of tens of nanoseconds per index —
+/// a remap, a bound, a subset probe — where the cursor traffic would cost
+/// more than the work, and wherever per-chunk results must merge in a
+/// fixed order.
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (minimum 1).

@@ -392,10 +392,9 @@ const synth::GeneratedData& SmallCorpus() {
   return *corpus;
 }
 
-// Block dedup never merges an uncapped run's itemsets: distinct maximal
-// (or closed) itemsets over the same bags have distinct support sets
-// (DESIGN.md §9), so every mined itemset whose support fits the size
-// filter becomes its own block. max_minsup = 2 makes the run one
+// Distinct maximal (or closed) itemsets over the same bags have distinct
+// support sets (DESIGN.md §9), so every mined itemset whose support fits
+// the size filter becomes its own block. max_minsup = 2 makes the run one
 // iteration over every record, which the miner can be run on directly.
 TEST(MfiBlocksTest, UncappedRunConsidersOneBlockPerInRangeItemset) {
   auto encoded = data::EncodeDataset(SmallCorpus().dataset);
@@ -421,38 +420,6 @@ TEST(MfiBlocksTest, UncappedRunConsidersOneBlockPerInRangeItemset) {
       EXPECT_EQ(result.num_blocks_considered, in_range)
           << "kind " << static_cast<int>(kind) << " ng " << ng;
     }
-  }
-}
-
-// The dedup fold keeps one block per distinct record set. A capped miner
-// may report itemsets that are not maximal, so the proof behind the test
-// above does not cover it; check capped runs against support sets
-// computed by brute force.
-TEST(MfiBlocksTest, CappedRunConsidersOneBlockPerDistinctSupport) {
-  auto encoded = data::EncodeDataset(SmallCorpus().dataset);
-  for (size_t cap : {1, 2, 3, 5, 8, 20}) {
-    mining::MinerOptions options;
-    options.minsup = 2;
-    options.max_itemsets = cap;
-    std::set<std::vector<data::RecordIdx>> distinct;
-    for (const auto& fi : mining::MineMaximalItemsets(encoded.bags, options)) {
-      if (fi.support > NgCap(3.0, 2)) continue;
-      std::vector<data::RecordIdx> support;
-      for (data::RecordIdx r = 0; r < encoded.bags.size(); ++r) {
-        const auto& bag = encoded.bags[r];
-        if (std::includes(bag.begin(), bag.end(), fi.items.begin(),
-                          fi.items.end())) {
-          support.push_back(r);
-        }
-      }
-      distinct.insert(std::move(support));
-    }
-    MfiBlocksConfig config;
-    config.max_minsup = 2;
-    config.ng = 3.0;
-    config.max_mfis_per_iteration = cap;
-    auto result = RunMfiBlocks(encoded, config);
-    EXPECT_EQ(result.num_blocks_considered, distinct.size()) << "cap " << cap;
   }
 }
 

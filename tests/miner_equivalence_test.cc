@@ -2,7 +2,7 @@
 // preserved pointer-node reference (tests/support/reference_fp_growth.*).
 // Mining is part of the blocking determinism contract: MFIBlocks turns
 // the mined itemsets into blocks in the order the miner returns them, and
-// block dedup keeps the first key per record set, so the arena tree, the
+// that order breaks the sparse-neighborhood ties, so the arena tree, the
 // hash-free projection and the parallel maximality filter must return the
 // same itemsets, in the same order, with the same supports, at every pool
 // size.

@@ -39,7 +39,9 @@
 // hardware thread); output is byte-identical for every thread count.
 // `--profile` prints the per-stage wall-time breakdown (encode / blocking
 // / extract / tag / train / score / merge), making the one-time columnar
-// encode cost vs. the per-pair extraction win visible on real runs.
+// encode cost vs. the per-pair extraction win visible on real runs, with
+// blocking split into its substages plus whatever none of them times, and
+// the blocks considered, scored and kept.
 //
 // `index` freezes a matches CSV into the binary serve::ResolutionIndex
 // artifact; `query`, `graph`, `families` and `serve-bench` accept either
@@ -205,8 +207,10 @@ ResolveOptions ParseResolveOptions(const Flags& flags) {
 }
 
 // Prints the per-stage wall-time breakdown of a resolve run, with the
-// blocking stage further broken into its parallel substages.
-void PrintStageProfile(const core::StageTimings& t) {
+// blocking stage further broken into its parallel substages and the share
+// of it no substage times, then how much block scoring the bound saved.
+void PrintStageProfile(const core::PipelineResult& result) {
+  const core::StageTimings& t = result.timings;
   struct Row {
     const char* name;
     double seconds;
@@ -223,10 +227,11 @@ void PrintStageProfile(const core::StageTimings& t) {
   const blocking::BlockingTimings& b = t.blocking_substages;
   const Row blocking_rows[] = {
       {"  mine (FP-Growth itemsets)", b.mine_seconds},
-      {"  support (index intersections)", b.support_seconds},
+      {"  support (supports + block life)", b.support_seconds},
       {"  score (block scoring)", b.score_seconds},
       {"  threshold (sparse neighborhood)", b.threshold_seconds},
       {"  emit (pair maps + coverage)", b.emit_seconds},
+      {"  untimed remainder", t.blocking_seconds - b.TotalSeconds()},
   };
   double total = t.TotalSeconds();
   auto print_row = [total](const Row& row) {
@@ -241,6 +246,11 @@ void PrintStageProfile(const core::StageTimings& t) {
     }
   }
   std::printf("  %-36s %9.3f s\n", "total (timed stages)", total);
+  const blocking::MfiBlocksResult& r = result.blocking;
+  std::printf("blocking counts: %zu itemsets mined, %zu blocks considered, "
+              "%zu scored, %zu kept\n",
+              r.num_mfis_mined, r.num_blocks_considered, r.num_blocks_scored,
+              r.blocks.size());
 }
 
 /// Options shared by every command that queries a served resolution
@@ -797,7 +807,7 @@ int CmdResolve(const ResolveOptions& options) {
               "ranked matches\n",
               result.blocking.blocks.size(), result.blocking.pairs.size(),
               result.resolution.size());
-  if (options.profile) PrintStageProfile(result.timings);
+  if (options.profile) PrintStageProfile(result);
   if (HasGroundTruth(dataset)) {
     auto q = core::EvaluateMatches(dataset, result.resolution.matches());
     std::printf("vs ground truth: precision %.3f recall %.3f F1 %.3f\n",
