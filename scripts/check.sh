@@ -35,10 +35,11 @@
 # primitives (the dynamically scheduled ThreadPool::ParallelFor, batched
 # bitset supports, MfiBlocks and its bound-pruned scoring against the
 # score-everything reference) run 20 times in shuffled order on the
-# standard build. It exists for bugs no sanitizer reports, such as the RCU
-# retire/release ordering of DESIGN.md §13: a memory-ordering bug there
-# leaks snapshots without any data race, and shows only under repeated
-# runs on several cores.
+# standard build. It exists for bugs no sanitizer reports and that show
+# only under repeated runs on several cores. For the live index it guards
+# the pin/publish contract of DESIGN.md §13: each reader sees
+# non-decreasing generations, a publish never waits for a reader, and
+# every retired snapshot is freed once its pins drain.
 #
 #   scripts/check.sh            # all stages
 #   scripts/check.sh --no-tsan  # skip the TSan stage
@@ -80,10 +81,10 @@ if [[ "$run_tsan" == 1 ]]; then
   # loadgen threads all share connection state, so the loopback
   # integration and socket-fault chaos suites run race-checked too.
   # IndexManager*/LiveIndexBuilder* are the live-update layer (DESIGN.md
-  # §13): the RCU snapshot swap and the ingest builder are exactly the
-  # code TSan exists for — readers pin generations wait-free while a
-  # writer publishes — and ChaosTest.SwapUnderLoad* drives the full
-  # swap-under-load consistency proof race-checked.
+  # §13): the snapshot swap and the ingest builder are exactly the code
+  # TSan exists for — readers pin generations while a writer publishes —
+  # and ChaosTest.SwapUnderLoad* drives the full swap-under-load
+  # consistency proof race-checked.
   # Wal* is the durability layer (DESIGN.md §14): group-commit batching
   # means concurrent appenders hand frames to a leader thread, so the
   # WAL unit and WAL-backed ingest suites run race-checked as well.

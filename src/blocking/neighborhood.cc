@@ -61,7 +61,11 @@ double ComputeMinThreshold(const std::vector<Block>& blocks,
     for (size_t r = begin; r < end; ++r) {
       uint32_t* bs = record_blocks.data() + offsets[r];
       uint32_t* bs_end = record_blocks.data() + offsets[r + 1];
-      if (bs_end - bs <= 1) continue;
+      // A record in one block that fits the cap can never overflow.
+      if (bs == bs_end ||
+          (bs_end - bs == 1 && blocks[*bs].records.size() - 1 <= cap)) {
+        continue;
+      }
       // Score descending, ties broken by ascending block index: equal-score
       // blocks must be visited in a specified order or the derived min_th
       // would hinge on std::sort's unspecified equal-element placement.

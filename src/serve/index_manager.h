@@ -2,10 +2,10 @@
 #define YVER_SERVE_INDEX_MANAGER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <utility>
 
 #include "serve/resolution_index.h"
 #include "util/status.h"
@@ -15,54 +15,49 @@ namespace yver::serve {
 /// Versioned, hot-swappable home of the served ResolutionIndex
 /// (DESIGN.md §13). The manager owns a sequence of immutable index
 /// snapshots, each tagged with a monotonically increasing generation.
-/// Readers pin the current snapshot with `Acquire()` — a single atomic
-/// fetch-add, genuinely wait-free, never blocked by a publish in
-/// progress — and work against that snapshot for as long as they hold
-/// the returned PinnedIndex. Writers install a new snapshot with
-/// `Publish()`; the previous generation is retired immediately (no new
-/// reader can pin it) but its memory is reclaimed only after the last
-/// pinned reader releases, so an in-flight query never observes a torn
-/// swap or a freed index.
+/// Readers pin the current snapshot with `Acquire()` — a brief lock and
+/// one shared_ptr copy — and work against that snapshot for as long as
+/// they hold the returned PinnedIndex. Writers install a new snapshot
+/// with `Publish()`; the previous generation is retired immediately (no
+/// new reader can pin it) but its memory is reclaimed only when the last
+/// pin on it drops, so an in-flight query never observes a torn swap or
+/// a freed index.
 ///
-/// The RCU scheme packs the acquire counter into the same 64-bit atomic
-/// as the current slot index: `current_` = (acquires << 16) | slot.
-/// Acquire() increments the counter half and reads the slot half in one
-/// fetch-add, so every pin is attributed to exactly the snapshot that
-/// was current at that instant — there is no pin-then-validate window
-/// and no ABA hazard. Publish() swaps the whole word (resetting the
-/// counter to zero for the new slot) and the value it swaps out tells
-/// it precisely how many pins were granted against the retired
-/// snapshot; once that many releases have come back, the snapshot is
-/// freed. Snapshots live in a small fixed ring of slots; a slot is
-/// reused only after it is fully quiescent, and Publish() (never a
-/// reader) waits when the ring is momentarily exhausted by slow
-/// readers.
+/// The current generation is one `shared_ptr<const Generation>` guarded
+/// by one mutex. A pin is a copy of that pointer, so reference counting
+/// alone keeps a retired generation alive until its last pin releases;
+/// the number of retained generations is bounded by 1 + the number of
+/// pins in flight, and Publish never waits for a reader.
 class IndexManager {
+  /// One published snapshot. Construction and destruction (by the last
+  /// shared_ptr — a pin or the manager) move the retained_snapshots gauge.
+  struct Generation {
+    Generation(const IndexManager* m, std::shared_ptr<const ResolutionIndex> i,
+               uint64_t g)
+        : manager(m), index(std::move(i)), generation(g) {
+      manager->live_generations_.fetch_add(1, std::memory_order_relaxed);
+    }
+    ~Generation() {
+      manager->live_generations_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    Generation(const Generation&) = delete;  // would count itself twice
+    const IndexManager* manager;
+    std::shared_ptr<const ResolutionIndex> index;
+    uint64_t generation;
+  };
+
  public:
   /// Movable pin on one index generation. While alive, the snapshot it
   /// points at cannot be reclaimed; destruction (or Release) returns the
-  /// pin. Cheap to create and destroy — one fetch-add each way.
+  /// pin. Creating one takes a brief lock; each way is one reference count.
   class PinnedIndex {
    public:
     PinnedIndex() = default;
-    PinnedIndex(PinnedIndex&& other) noexcept
-        : manager_(other.manager_),
-          slot_(other.slot_),
-          index_(std::move(other.index_)),
-          generation_(other.generation_) {
-      other.manager_ = nullptr;
-      other.index_ = nullptr;
-    }
+    PinnedIndex(PinnedIndex&& other) noexcept = default;
     PinnedIndex& operator=(PinnedIndex&& other) noexcept {
-      if (this != &other) {
-        Release();
-        manager_ = other.manager_;
-        slot_ = other.slot_;
-        index_ = std::move(other.index_);
-        generation_ = other.generation_;
-        other.manager_ = nullptr;
-        other.index_ = nullptr;
-      }
+      Release();
+      pinned_ = std::move(other.pinned_);
+      generation_ = other.generation_;
       return *this;
     }
     PinnedIndex(const PinnedIndex&) = delete;
@@ -72,46 +67,36 @@ class IndexManager {
     /// Returns the pin early (idempotent; the dtor does this otherwise).
     void Release();
 
-    const ResolutionIndex& operator*() const { return *index_; }
-    const ResolutionIndex* operator->() const { return index_.get(); }
+    const ResolutionIndex& operator*() const { return *index(); }
+    const ResolutionIndex* operator->() const { return index().get(); }
     const std::shared_ptr<const ResolutionIndex>& index() const {
-      return index_;
+      return pinned_ != nullptr ? pinned_->index : kNoIndex;
     }
     uint64_t generation() const { return generation_; }
-    bool valid() const { return index_ != nullptr; }
+    bool valid() const { return pinned_ != nullptr; }
 
    private:
     friend class IndexManager;
-    PinnedIndex(const IndexManager* manager, size_t slot,
-                std::shared_ptr<const ResolutionIndex> index,
-                uint64_t generation)
-        : manager_(manager),
-          slot_(slot),
-          index_(std::move(index)),
-          generation_(generation) {}
-
-    const IndexManager* manager_ = nullptr;
-    size_t slot_ = 0;
-    std::shared_ptr<const ResolutionIndex> index_;
+    inline static const std::shared_ptr<const ResolutionIndex> kNoIndex;
+    std::shared_ptr<const Generation> pinned_;
     uint64_t generation_ = 1;
   };
 
   /// Seeds the manager with the initial snapshot as generation 1.
   explicit IndexManager(std::shared_ptr<const ResolutionIndex> initial);
-  ~IndexManager();
 
   IndexManager(const IndexManager&) = delete;
   IndexManager& operator=(const IndexManager&) = delete;
 
-  /// Pins the current snapshot. Wait-free: one fetch-add, regardless of
-  /// concurrent publishes. Generations observed by repeated Acquire calls
-  /// on any one thread are non-decreasing.
+  /// Pins the current snapshot: a brief lock and a pointer copy, never
+  /// held across a publish's index build. Generations observed by
+  /// repeated Acquire calls on any one thread are non-decreasing.
   PinnedIndex Acquire() const;
 
   /// Atomically installs `next` as the new current snapshot and returns
   /// its generation. The previous generation is retired (no new pins) and
   /// freed once its last pinned reader releases. Serialized across
-  /// callers; readers are never blocked. Fault seam: an injected I/O
+  /// callers; never waits for readers. Fault seam: an injected I/O
   /// error at util::FaultPoint::kIndexPublish fails the publish with a
   /// typed UNAVAILABLE *without* installing anything — the previous
   /// generation stays current and the caller may retry.
@@ -120,61 +105,28 @@ class IndexManager {
 
   /// Generation of the snapshot Acquire() would pin right now.
   uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
+    std::lock_guard<std::mutex> lock(mu_);
+    return current_->generation;
   }
   /// Successful Publish() calls since construction.
-  uint64_t publishes() const {
-    return publishes_.load(std::memory_order_relaxed);
-  }
+  uint64_t publishes() const { return generation() - 1; }
   /// Currently outstanding pins across all generations — the gauge the
   /// chaos harness drives back to zero to prove retired snapshots free.
-  uint64_t pinned_readers() const;
+  uint64_t pinned_readers() const {
+    return pinned_readers_.load(std::memory_order_relaxed);
+  }
   /// Snapshots currently held (current + retired-but-pinned). 1 when
   /// fully quiescent: every retired generation has been reclaimed.
-  size_t retained_snapshots() const;
-
-  /// Slots in the snapshot ring: at most this many generations can be
-  /// simultaneously alive (1 current + kNumSlots-1 retired-but-pinned)
-  /// before Publish waits for a slow reader.
-  static constexpr size_t kNumSlots = 64;
+  size_t retained_snapshots() const {
+    return live_generations_.load(std::memory_order_relaxed);
+  }
 
  private:
-  static constexpr uint64_t kSlotBits = 16;
-  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
-  static constexpr uint64_t kOnePin = uint64_t{1} << kSlotBits;
-  /// `limit` sentinel while a slot is still current (not yet retired).
-  static constexpr uint64_t kNoLimit = ~uint64_t{0};
-
-  struct Slot {
-    /// Written only while the slot is quiescent (install / reclaim), read
-    /// by pinned readers — the quiescence protocol is what makes the
-    /// unsynchronized shared_ptr copy in Acquire safe.
-    std::shared_ptr<const ResolutionIndex> index;
-    uint64_t generation = 0;
-    /// Pins returned so far.
-    std::atomic<uint64_t> releases{0};
-    /// Total pins granted while current; kNoLimit until retired. The slot
-    /// is reclaimable once releases == limit.
-    std::atomic<uint64_t> limit{kNoLimit};
-  };
-
-  void ReleasePin(size_t slot) const;
-  /// Frees the slot's snapshot if it is retired and fully released.
-  /// Idempotent; raced benignly between the last releaser and Publish.
-  void MaybeReclaim(size_t slot) const;
-
-  mutable Slot slots_[kNumSlots];
-  /// (acquire count << kSlotBits) | current slot index.
-  mutable std::atomic<uint64_t> current_{0};
-  std::atomic<uint64_t> generation_{1};
-  std::atomic<uint64_t> publishes_{0};
-
-  /// Serializes publishers; never touched by Acquire.
-  std::mutex publish_mu_;
-  /// Guards slot install/reclaim transitions and wakes a publisher
-  /// waiting for a quiescent slot.
-  mutable std::mutex slots_mu_;
-  mutable std::condition_variable slot_freed_;
+  // Declared before current_ so they outlive its release in the dtor.
+  mutable std::atomic<uint64_t> pinned_readers_{0};
+  mutable std::atomic<size_t> live_generations_{0};
+  mutable std::mutex mu_;
+  std::shared_ptr<const Generation> current_;  // guarded by mu_
 };
 
 using PinnedIndex = IndexManager::PinnedIndex;

@@ -11,6 +11,12 @@
 
 namespace yver::serve {
 
+/// LRU shards of the result cache (a power of two).
+constexpr size_t kCacheShards = 16;
+/// Distinct certainty thresholds whose entity clusterings are memoized;
+/// the memo is dropped wholesale when it outgrows this.
+constexpr size_t kMaxClusterSlices = 64;
+
 double ServiceMetrics::LatencyPercentileMs(double p) const {
   uint64_t total = 0;
   for (uint64_t c : latency_histogram_ns) total += c;
@@ -34,7 +40,7 @@ ResolutionService::ResolutionService(
     : manager_(std::move(index)),
       options_(options),
       pool_(util::ResolveNumThreads(options.num_threads)),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity, kCacheShards),
       admission_(AdmissionOptions{options.max_in_flight,
                                   options.max_queue_depth}) {}
 
@@ -45,7 +51,7 @@ util::StatusOr<uint64_t> ResolutionService::PublishIndex(
   {
     // Invalidate cluster memos of retired generations. An in-flight query
     // still pinning an old snapshot may transiently rebuild one; the
-    // max_cluster_slices pressure valve bounds that.
+    // kMaxClusterSlices pressure valve bounds that.
     std::lock_guard<std::mutex> lock(clusters_mu_);
     std::erase_if(cluster_slices_, [&](const auto& kv) {
       return kv.first.first < *published;
@@ -234,7 +240,7 @@ std::shared_ptr<const core::EntityClusters> ResolutionService::ClustersAt(
   std::lock_guard<std::mutex> lock(clusters_mu_);
   auto it = cluster_slices_.find(key);
   if (it != cluster_slices_.end()) return it->second;
-  if (cluster_slices_.size() >= options_.max_cluster_slices) {
+  if (cluster_slices_.size() >= kMaxClusterSlices) {
     cluster_slices_.clear();  // simple pressure valve; slices are cheap to rebuild
   }
   // Built under the lock: a thundering herd on a brand-new threshold would

@@ -30,11 +30,6 @@ struct ServiceOptions {
   size_t num_threads = 0;
   /// Total LRU entries across shards; 0 disables result caching.
   size_t cache_capacity = 1 << 16;
-  /// LRU shards (rounded up to a power of two).
-  size_t cache_shards = 16;
-  /// Distinct certainty thresholds whose entity clusterings are memoized;
-  /// the memo is dropped wholesale when it outgrows this.
-  size_t max_cluster_slices = 64;
   /// Admission control (load shedding): queries allowed to execute
   /// concurrently, and callers allowed to queue for a slot beyond that.
   /// max_in_flight == 0 disables admission entirely (the default).

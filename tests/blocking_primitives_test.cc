@@ -197,7 +197,10 @@ double ReferenceMinThreshold(const std::vector<blocking::Block>& blocks,
   double min_th = 0.0;
   for (size_t r = 0; r < num_records; ++r) {
     auto& bs = record_blocks[r];
-    if (bs.size() <= 1) continue;
+    if (bs.empty() ||
+        (bs.size() == 1 && blocks[bs[0]].records.size() - 1 <= cap)) {
+      continue;
+    }
     std::sort(bs.begin(), bs.end(), [&blocks](uint32_t a, uint32_t b) {
       if (blocks[a].score != blocks[b].score) {
         return blocks[a].score > blocks[b].score;

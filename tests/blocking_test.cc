@@ -239,6 +239,15 @@ TEST(NeighborhoodTest, CrowdedRecordRaisesThreshold) {
   EXPECT_DOUBLE_EQ(th, 0.3);
   auto sizes = NeighborhoodSizes(blocks, 6, th);
   EXPECT_LE(sizes[0], 2u);
+
+  // Records that sit in one block only are crowded too when that block
+  // alone holds more than cap + 1 records.
+  std::vector<Block> oversize(1);
+  oversize[0].records = {0, 1, 2, 3};
+  oversize[0].score = 0.4;
+  EXPECT_DOUBLE_EQ(ComputeMinThreshold(oversize, 5, 1.0, 2), 0.4);
+  oversize[0].records = {0, 1, 2};  // exactly cap neighbors each: fits
+  EXPECT_DOUBLE_EQ(ComputeMinThreshold(oversize, 5, 1.0, 2), 0.0);
 }
 
 TEST(NeighborhoodTest, EqualScoreBlocksVisitedInIndexOrder) {

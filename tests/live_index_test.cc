@@ -159,14 +159,37 @@ TEST(IndexManagerTest, PublishFaultInstallsNothing) {
 }
 
 TEST(IndexManagerTest, QuiescentSlotsRecycleWithoutBlocking) {
-  // Far more generations than slots: with no pins outstanding, every
-  // retired slot reclaims immediately and Publish never waits.
+  // Many generations in a row: with no pins outstanding, every retired
+  // generation is reclaimed immediately and Publish never waits.
+  constexpr uint64_t kPublishes = 192;
   IndexManager manager(MakeIndex(8, 8, 1));
-  for (uint64_t i = 0; i < IndexManager::kNumSlots * 3; ++i) {
+  for (uint64_t i = 0; i < kPublishes; ++i) {
     ASSERT_TRUE(manager.Publish(MakeIndex(8, 8, i + 2)).ok());
     EXPECT_EQ(manager.retained_snapshots(), 1u);
   }
-  EXPECT_EQ(manager.generation(), IndexManager::kNumSlots * 3 + 1);
+  EXPECT_EQ(manager.generation(), kPublishes + 1);
+}
+
+TEST(IndexManagerTest, PublishNeverWaitsForPinnedGenerations) {
+  // One thread pins each of 100 consecutive generations and keeps every
+  // pin: no publish waits for a reader, and all 100 retired generations
+  // stay alive until their pins drop.
+  constexpr uint64_t kPinned = 100;
+  IndexManager manager(MakeIndex(8, 8, 1));
+  std::vector<PinnedIndex> pins;
+  for (uint64_t i = 0; i < kPinned; ++i) {
+    pins.push_back(manager.Acquire());
+    ASSERT_TRUE(manager.Publish(MakeIndex(8, 8, i + 2)).ok());
+  }
+  EXPECT_EQ(manager.generation(), kPinned + 1);
+  EXPECT_EQ(manager.retained_snapshots(), kPinned + 1);
+  EXPECT_EQ(manager.pinned_readers(), kPinned);
+  for (uint64_t i = 0; i < kPinned; ++i) {
+    EXPECT_EQ(pins[i].generation(), i + 1);
+  }
+  pins.clear();
+  EXPECT_EQ(manager.retained_snapshots(), 1u);
+  EXPECT_EQ(manager.pinned_readers(), 0u);
 }
 
 TEST(IndexManagerTest, ReadersNeverBlockAcrossConcurrentPublishes) {
