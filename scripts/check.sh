@@ -30,6 +30,9 @@
 # SIGKILLed mid-append-stream, restarted on the same directory, and every
 # previously acked record must answer (`append --verify-from 0`).
 #
+# Right after tier-1, the standard-build `yver_cli` must refuse malformed
+# numeric flags with exit 2 before it loads or binds anything.
+#
 # A multicore stress stage follows tier-1: the concurrency suites, the
 # ADTree trainer suites, the miner equivalence suite and the blocking
 # primitives (the dynamically scheduled ThreadPool::ParallelFor, batched
@@ -64,6 +67,18 @@ echo "==> tier-1: standard build + ctest (-L tier1)"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -L tier1 --output-on-failure -j "$(nproc)"
+
+echo "==> tier-1: malformed numeric flags exit 2 (yver_cli)"
+# A negative count, a port past 65535 and a number that does not parse
+# are refused by the flag parser; each would otherwise fail later, at the
+# missing corpus or the closed port, with exit 1.
+for args in "serve --in missing.csv --threads -1" \
+            "serve --in missing.csv --port 70000" \
+            "loadgen --port 1 --queries abc"; do
+  rc=0
+  ./build/tools/yver_cli $args 2>/dev/null || rc=$?
+  [[ "$rc" == 2 ]] || { echo "yver_cli $args exited $rc, want 2" >&2; exit 1; }
+done
 
 echo "==> tier-1: stress (concurrency + trainer + miner + blocking suites, repeated and shuffled, nproc=$(nproc))"
 ./build/tests/yver_tests --gtest_repeat=20 --gtest_shuffle --gtest_brief=1 \

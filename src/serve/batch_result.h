@@ -11,8 +11,8 @@ namespace yver::serve {
 
 /// The typed answer to a batch of queries: per-query statuses in request
 /// order plus the aggregate counters every batch consumer was recomputing
-/// by hand (serve-bench, the load generator, the net dispatcher). Replaces
-/// the bare std::vector<StatusOr<QueryResult>> QueryBatch used to return.
+/// by hand (the load generator, the net dispatcher). Replaces the bare
+/// std::vector<StatusOr<QueryResult>> QueryBatch used to return.
 ///
 /// The vector interface (size / operator[] / iteration) is preserved so a
 /// BatchResult reads like the list it contains; the counters are derived

@@ -1,5 +1,7 @@
 #include "serve/ingest.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <utility>
@@ -219,6 +221,42 @@ void LiveIndexBuilder::MaybeSnapshot() {
     // publish boundary.
     ++snapshot_failures_;
   }
+}
+
+util::StatusOr<DurableIngest> OpenDurableIngest(
+    const std::string& dir, const WalOptions& wal_options,
+    core::IncrementalResolver* resolver, IngestOptions* ingest) {
+  const size_t seed_records = resolver->dataset().size();
+  const std::string snapshot_path = dir + "/snapshot-appends.csv";
+  DurableIngest durable;
+  // Replay order is the determinism contract: snapshot rows first (they
+  // ARE the first appends, in arrival order), then every log record
+  // beyond what the snapshot covers.
+  if (::access(snapshot_path.c_str(), F_OK) == 0) {
+    auto snapshot = data::LoadDatasetCsvLenient(snapshot_path);
+    if (!snapshot.ok()) {
+      return util::Status(snapshot.status().code(),
+                          "snapshot " + snapshot_path + ": " +
+                              snapshot.status().message());
+    }
+    for (const data::Record& r : snapshot->records()) resolver->AddRecord(r);
+    durable.from_snapshot = snapshot->size();
+  }
+  std::vector<WalRecoveredRecord> recovered;
+  auto opened = WriteAheadLog::Open(dir, wal_options, &recovered);
+  if (!opened.ok()) return opened.status();
+  durable.wal = std::move(opened).value();
+  for (WalRecoveredRecord& rec : recovered) {
+    // Sequences the snapshot covers are already in (their segments just
+    // haven't been retired yet).
+    if (rec.sequence <= durable.from_snapshot) continue;
+    resolver->AddRecord(std::move(rec.record));
+    ++durable.from_log;
+  }
+  ingest->wal = durable.wal.get();
+  ingest->wal_base_records = seed_records;
+  ingest->snapshot_path = snapshot_path;
+  return durable;
 }
 
 }  // namespace yver::serve

@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 
 #include "core/incremental.h"
@@ -162,6 +163,26 @@ class LiveIndexBuilder {
 
   std::thread builder_;
 };
+
+/// What OpenDurableIngest replayed from a durable-ingest directory.
+struct DurableIngest {
+  std::unique_ptr<WriteAheadLog> wal;
+  size_t from_snapshot = 0;  // records replayed from the snapshot CSV
+  size_t from_log = 0;       // WAL records replayed past the snapshot
+};
+
+/// Opens the durable-ingest directory `dir` (DESIGN.md §14) the one way a
+/// restart must: replays the appended-records snapshot CSV into
+/// `resolver` (its rows are the first appends, in arrival order), opens
+/// the write-ahead log, and replays every log record whose sequence is
+/// greater than the snapshot's size. Then points `ingest` at the log, at
+/// the seed corpus the log lands after, and at the snapshot path, so a
+/// builder started with it keeps writing the layout this reads.
+/// `resolver` must hold exactly the seed corpus; an unreadable snapshot
+/// or log comes back as its typed status.
+util::StatusOr<DurableIngest> OpenDurableIngest(
+    const std::string& dir, const WalOptions& wal_options,
+    core::IncrementalResolver* resolver, IngestOptions* ingest);
 
 }  // namespace yver::serve
 

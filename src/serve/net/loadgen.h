@@ -10,10 +10,10 @@
 
 namespace yver::serve::net {
 
-/// Workload shape and pacing for RunLoadGen. The synthetic workload
-/// mirrors `serve-bench`: record lookups drawn uniformly from a hot
-/// subset of the corpus (sized by Info from the server), with an optional
-/// slice of entity-granularity queries mixed in.
+/// Workload shape and pacing for RunLoadGen. The synthetic workload is
+/// record lookups drawn uniformly from a hot subset of the corpus (sized
+/// by Info from the server), with an optional slice of
+/// entity-granularity queries mixed in.
 struct LoadGenOptions {
   uint16_t port = 0;
   size_t connections = 1;

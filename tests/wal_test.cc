@@ -645,65 +645,85 @@ TEST(WalIngestTest, AckedRecordsSurviveAndReplayDeterministically) {
 
 // Snapshots bound replay: every snapshot_every applied records the
 // builder persists the appended suffix crash-atomically and retires the
-// covered WAL segments; a restart loads the snapshot, skips the covered
-// sequences, and replays only the suffix — landing on the same index.
+// covered WAL segments. Both the first start and the restart open the
+// directory through OpenDurableIngest, exactly as `yver_cli serve --live
+// --wal-dir` does: a restart loads the snapshot, skips the covered
+// sequences, and replays only the suffix — landing on the same index. The
+// second case restarts a log that was never snapshotted: every record
+// comes back from the log.
 TEST(WalIngestTest, SnapshotRetiresSegmentsAndRestartReplays) {
-  std::string dir = FreshDir("wal_ingest_snapshot");
-  std::string snapshot_path = dir + "/snapshot-appends.csv";
-  std::vector<WalRecoveredRecord> recovered;
-  auto wal = OpenWal(dir, &recovered, /*segment_bytes=*/1);
-  ASSERT_TRUE(wal.ok()) << wal.status().ToString();
-
-  uint64_t served_checksum = 0;
-  {
-    IngestOptions options;
-    options.snapshot_every = 8;
-    options.snapshot_path = snapshot_path;
-    LiveServing live = MakeWalServing(wal->get(), options);
-    for (uint64_t i = 0; i < 20; ++i) {
-      auto idx = live.builder->Submit(
-          MakeReport(5000 + i, "snap" + std::to_string(i), "shot", "lublin"));
-      ASSERT_TRUE(idx.ok()) << idx.status().ToString();
-      EXPECT_EQ(*idx, 4 + i);
+  struct Case {
+    const char* dir;
+    size_t snapshot_every;
+    size_t from_snapshot;
+    size_t from_log;
+  };
+  const Case cases[] = {
+      {"wal_ingest_snapshot", 8, 16, 4},  // two snapshots of 8 appends each
+      {"wal_ingest_no_snapshot", 0, 0, 20},
+  };
+  WalOptions wal_options;
+  wal_options.segment_bytes = 1;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.dir);
+    std::string dir = FreshDir(c.dir);
+    std::string snapshot_path;
+    uint64_t served_checksum = 0;
+    {
+      auto resolver = std::make_unique<core::IncrementalResolver>(
+          MakeSeedCorpus(), core::RankedResolution(), ml::AdTree());
+      IngestOptions options;
+      options.snapshot_every = c.snapshot_every;
+      auto durable =
+          OpenDurableIngest(dir, wal_options, resolver.get(), &options);
+      ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+      EXPECT_EQ(durable->from_snapshot + durable->from_log, 0u);
+      EXPECT_EQ(options.wal, durable->wal.get());
+      EXPECT_EQ(options.wal_base_records, 4u);
+      snapshot_path = options.snapshot_path;
+      auto service = std::make_shared<ResolutionService>(
+          std::make_shared<const ResolutionIndex>(core::RankedResolution(),
+                                                  4));
+      LiveIndexBuilder builder(service, std::move(resolver), options);
+      for (uint64_t i = 0; i < 20; ++i) {
+        auto idx = builder.Submit(MakeReport(
+            5000 + i, "snap" + std::to_string(i), "shot", "lublin"));
+        ASSERT_TRUE(idx.ok()) << idx.status().ToString();
+        EXPECT_EQ(*idx, 4 + i);
+      }
+      ASSERT_TRUE(builder.WaitForIdle().ok());
+      auto stats = builder.stats();
+      EXPECT_EQ(stats.applied, 20u);
+      EXPECT_EQ(stats.snapshots, c.from_snapshot / 8);
+      EXPECT_EQ(stats.snapshot_failures, 0u);
+      served_checksum = service->PinIndex()->Checksum();
+      builder.Stop();
+      if (c.snapshot_every > 0) {
+        // The snapshot exists and the segments it covers are gone (20
+        // one-record segments were written; at most the post-snapshot
+        // suffix plus the always-kept newest segment remain).
+        EXPECT_EQ(::access(snapshot_path.c_str(), F_OK), 0);
+        EXPECT_LE(durable->wal->stats().segments, 6u);
+      } else {
+        EXPECT_NE(::access(snapshot_path.c_str(), F_OK), 0);
+      }
     }
-    ASSERT_TRUE(live.builder->WaitForIdle().ok());
-    auto stats = live.builder->stats();
-    EXPECT_EQ(stats.applied, 20u);
-    EXPECT_GE(stats.snapshots, 2u);
-    EXPECT_EQ(stats.snapshot_failures, 0u);
-    served_checksum = live.service->PinIndex()->Checksum();
-    live.builder->Stop();
-  }
-  // The snapshot exists and the segments it covers are gone (20 one-record
-  // segments were written; at most the post-snapshot suffix plus the
-  // always-kept newest segment remain).
-  EXPECT_EQ(::access(snapshot_path.c_str(), F_OK), 0);
-  EXPECT_LE((*wal)->stats().segments, 6u);
-  wal->reset();
 
-  // Restart exactly the way `yver_cli serve --live --wal-dir` does: load
-  // the snapshot, replay WAL records past it, rebuild.
-  auto snapshot = data::LoadDatasetCsvLenient(snapshot_path);
-  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-  ASSERT_EQ(snapshot->size(), 16u);  // two snapshots of 8 appends each
-  auto resolver = std::make_unique<core::IncrementalResolver>(
-      MakeSeedCorpus(), core::RankedResolution(), ml::AdTree());
-  for (const auto& rec : snapshot->records()) resolver->AddRecord(rec);
-
-  auto reopened = OpenWal(dir, &recovered, /*segment_bytes=*/1);
-  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  ASSERT_FALSE(recovered.empty());
-  size_t replayed = 0;
-  for (const auto& rec : recovered) {
-    if (rec.sequence <= snapshot->size()) continue;  // covered by snapshot
-    resolver->AddRecord(rec.record);
-    ++replayed;
+    auto resolver = std::make_unique<core::IncrementalResolver>(
+        MakeSeedCorpus(), core::RankedResolution(), ml::AdTree());
+    IngestOptions options;
+    auto durable =
+        OpenDurableIngest(dir, wal_options, resolver.get(), &options);
+    ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+    EXPECT_EQ(durable->from_snapshot, c.from_snapshot);
+    EXPECT_EQ(durable->from_log, c.from_log);
+    EXPECT_EQ(options.snapshot_path, snapshot_path);
+    ASSERT_EQ(resolver->dataset().size(), 24u);
+    ResolutionIndex rebuilt(resolver->Resolution(),
+                            resolver->dataset().size());
+    EXPECT_EQ(rebuilt.Checksum(), served_checksum)
+        << "snapshot + suffix replay diverged from the served index";
   }
-  EXPECT_EQ(replayed, 4u);
-  ASSERT_EQ(resolver->dataset().size(), 24u);
-  ResolutionIndex rebuilt(resolver->Resolution(), resolver->dataset().size());
-  EXPECT_EQ(rebuilt.Checksum(), served_checksum)
-      << "snapshot + suffix replay diverged from the served index";
 }
 
 }  // namespace

@@ -10,9 +10,6 @@
 //   yver_cli index       --in data.csv --matches matches.csv --out idx.yvx
 //   yver_cli query       --in data.csv (--matches matches.csv | --index idx.yvx)
 //                        [--certainty C] [--book-id B] [--k K]
-//   yver_cli serve-bench --in data.csv (--matches matches.csv | --index idx.yvx)
-//                        [--queries N] [--certainty C] [--threads T]
-//                        [--hot-set H] [--no-cache] [--deadline-ms D]
 //   yver_cli serve       --in data.csv (--matches matches.csv | --index idx.yvx)
 //                        [--port P] [--port-file F] [--threads T]
 //                        [--dispatch-threads D] [--max-batch B] [--no-cache]
@@ -44,8 +41,8 @@
 // the blocks considered, scored and kept.
 //
 // `index` freezes a matches CSV into the binary serve::ResolutionIndex
-// artifact; `query`, `graph`, `families` and `serve-bench` accept either
-// form and build the same in-memory index from both.
+// artifact; `query`, `graph`, `families` and `serve` accept either form
+// and build the same in-memory index from both.
 //
 // `serve` puts the index on the wire (DESIGN.md §12): a binary TCP front
 // end on 127.0.0.1 that `loadgen` drives with a synthetic or replayed
@@ -63,21 +60,22 @@
 // a restart replays D so previously ack'd records are served again —
 // `append --verify-from I` is the matching crash-recovery check.
 
-#include <unistd.h>
-
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "adversary.h"
@@ -111,7 +109,6 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -144,11 +141,34 @@ class Flags {
     auto it = values_.find(name);
     return it == values_.end() ? fallback : it->second;
   }
-  double GetDouble(const std::string& name, double fallback) const {
-    return Has(name) ? std::strtod(Get(name).c_str(), nullptr) : fallback;
-  }
-  long GetInt(const std::string& name, long fallback) const {
-    return Has(name) ? std::atol(Get(name).c_str()) : fallback;
+  /// --name parsed as T (a double or an unsigned integer type), or
+  /// `fallback` when the flag is absent. A value that does not parse
+  /// completely, or does not fit T (a negative count, a port past 65535),
+  /// exits 2 with a message naming the flag.
+  template <typename T>
+    requires std::is_same_v<T, double> || std::is_unsigned_v<T>
+  T Get(const std::string& name, T fallback) const {
+    if (!Has(name)) return fallback;
+    const std::string text = Get(name);
+    char* end = nullptr;
+    errno = 0;
+    if constexpr (std::is_same_v<T, double>) {
+      double value = std::strtod(text.c_str(), &end);
+      if (!text.empty() && *end == '\0' && errno == 0) return value;
+      Reject(name, text, "a number");
+    } else {
+      // strtoull would wrap "-1" to its maximum, so a count must start
+      // with a digit.
+      unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+      if (std::isdigit(static_cast<unsigned char>(text[0])) &&
+          *end == '\0' && errno == 0 &&
+          value <= std::numeric_limits<T>::max()) {
+        return static_cast<T>(value);
+      }
+      Reject(name, text,
+             "an integer in [0, " +
+                 std::to_string(std::numeric_limits<T>::max()) + "]");
+    }
   }
   std::string Require(const std::string& name) const {
     if (!Has(name)) {
@@ -159,14 +179,22 @@ class Flags {
   }
 
  private:
+  [[noreturn]] static void Reject(const std::string& name,
+                                  const std::string& text,
+                                  const std::string& expected) {
+    std::fprintf(stderr, "--%s: expected %s, got '%s'\n", name.c_str(),
+                 expected.c_str(), text.c_str());
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
 // ---------------------------------------------------------------------------
-// Shared typed options. Each subcommand parses its Flags exactly once into
-// one of these structs and hands them to library entry points — the same
-// value types serve::ResolutionService consumes — instead of re-reading
-// ad-hoc flags throughout the command body.
+// Typed options. Each subcommand parses its Flags exactly once, before it
+// loads anything. A knob the library already defines parses straight into
+// the library's options struct, with that struct's initializer as its
+// default; only flags the CLI alone has get fields here.
 
 /// Options of the `resolve` pipeline family.
 struct ResolveOptions {
@@ -197,12 +225,12 @@ ResolveOptions ParseResolveOptions(const Flags& flags) {
   options.in = flags.Require("in");
   options.out = flags.Require("out");
   options.model_out = flags.Get("model-out");
-  options.max_minsup = static_cast<uint32_t>(flags.GetInt("maxminsup", 5));
-  options.ng = flags.GetDouble("ng", 3.5);
+  options.max_minsup = flags.Get("maxminsup", options.max_minsup);
+  options.ng = flags.Get("ng", options.ng);
   options.discard_same_source = flags.Has("samesrc");
   options.no_classify = flags.Has("no-classify");
   options.profile = flags.Has("profile");
-  options.threads = static_cast<size_t>(flags.GetInt("threads", 0));
+  options.threads = flags.Get("threads", options.threads);
   return options;
 }
 
@@ -253,298 +281,231 @@ void PrintStageProfile(const core::PipelineResult& result) {
               r.blocks.size());
 }
 
-/// Options shared by every command that queries a served resolution
-/// (`query`, `graph`, `families`, `index`, `serve-bench`).
-struct QueryOptions {
-  std::string in;       // dataset CSV
-  std::string matches;  // matches CSV (mutually optional with index_path)
-  std::string index_path;
-  std::string out;  // index/graph output path
-  double certainty = 0.0;
-  size_t k = 0;
-  std::optional<uint64_t> book_id;
-  size_t max_entities = 25;  // graph
-  size_t max_shown = 5;      // families
-  // serve-bench workload shape:
-  size_t num_queries = 10000;
-  size_t hot_set = 1024;
-  size_t threads = 0;
-  bool no_cache = false;
-  double deadline_ms = 0;  // per-query budget; 0 = none
-
-  serve::Query ToServeQuery(data::RecordIdx record,
-                            serve::Granularity granularity) const {
-    serve::Query query;
-    query.record = record;
-    query.certainty = certainty;
-    query.k = k;
-    query.granularity = granularity;
-    if (deadline_ms > 0) {
-      query.deadline = util::Deadline::AfterMillis(deadline_ms);
-    }
-    return query;
-  }
-};
-
-/// Parses the workload-shape knobs every query-ish command shares. The
-/// corpus flags (--in / --matches / --index) are layered on by
-/// ParseQueryOptions; `loadgen` skips them because it talks to a running
-/// server instead of loading an index itself.
-QueryOptions ParseWorkloadShape(const Flags& flags) {
-  QueryOptions options;
-  options.certainty = flags.GetDouble("certainty", 0.0);
-  if (std::isnan(options.certainty)) {
-    // Mirror serve::ValidateQuery: the clustering paths that bypass the
-    // service must never see a NaN threshold (it disables the break in
-    // the sorted-scan loops).
+/// --certainty, which must not be NaN. Mirrors serve::ValidateQuery: the
+/// clustering paths that bypass the service must never see a NaN
+/// threshold (it disables the break in the sorted-scan loops).
+double ParseCertainty(const Flags& flags, double fallback) {
+  double certainty = flags.Get("certainty", fallback);
+  if (std::isnan(certainty)) {
     std::fprintf(stderr, "--certainty must not be NaN\n");
     std::exit(2);
   }
-  options.k = static_cast<size_t>(flags.GetInt("k", 0));
-  if (flags.Has("book-id")) {
-    options.book_id =
-        std::strtoull(flags.Get("book-id").c_str(), nullptr, 10);
-  }
-  options.max_entities =
-      static_cast<size_t>(flags.GetInt("max-entities", 25));
-  options.max_shown = static_cast<size_t>(flags.GetInt("max-shown", 5));
-  options.num_queries = static_cast<size_t>(flags.GetInt("queries", 10000));
-  options.hot_set = static_cast<size_t>(flags.GetInt("hot-set", 1024));
-  options.threads = static_cast<size_t>(flags.GetInt("threads", 0));
-  options.no_cache = flags.Has("no-cache");
-  options.deadline_ms = flags.GetDouble("deadline-ms", 0);
-  return options;
+  return certainty;
 }
 
-QueryOptions ParseQueryOptions(const Flags& flags) {
-  QueryOptions options = ParseWorkloadShape(flags);
-  options.in = flags.Require("in");
-  options.matches = flags.Get("matches");
-  options.index_path = flags.Get("index");
-  options.out = flags.Get("out");
-  return options;
+/// One query of the given shape; a `deadline_ms` of 0 means none.
+serve::Query MakeQuery(data::RecordIdx record, serve::Granularity granularity,
+                       double certainty, size_t k, double deadline_ms) {
+  serve::Query query;
+  query.record = record;
+  query.certainty = certainty;
+  query.k = k;
+  query.granularity = granularity;
+  if (deadline_ms > 0) {
+    query.deadline = util::Deadline::AfterMillis(deadline_ms);
+  }
+  return query;
 }
 
-/// The one options struct behind every serving subcommand. `serve`,
-/// `serve-bench`, and `loadgen` parse the same flags into the same fields
-/// (each ignores what it doesn't use: serve-bench never opens a port,
-/// loadgen never loads a corpus), so a knob means the same thing — and is
-/// documented once, in kServeHelp — across all three.
-struct ServeOptions {
-  QueryOptions query;          // corpus + workload shape (certainty, k, ...)
-  uint16_t port = 0;           // serve: bind port (0 = ephemeral); loadgen:
-                               // the server's port (required)
-  std::string port_file;       // serve: write the bound port here (scripts
-                               // find an ephemeral server without racing)
-  size_t dispatch_threads = 1;
-  size_t max_batch = 64;
-  size_t max_connections = 1024;
-  double drain_timeout_ms = 5000;
-  // Hostile-network defense (serve; DESIGN.md §15). Zeros disable the
-  // corresponding rate limits; buffer caps and timeouts default on.
-  double idle_timeout_ms = 300000;
-  double min_read_rate = 64;          // bytes/sec while a frame is partial
-  double progress_window_ms = 5000;
-  size_t max_out_buffer = 64u << 20;
-  size_t max_in_buffer = 64u << 20;
-  size_t sndbuf = 0;                  // SO_SNDBUF clamp; 0 = kernel default
-  size_t max_frame_bytes = 0;         // 0 = the protocol max (16 MiB)
-  size_t max_pending = 0;             // 0 = 2 * max_batch
-  double write_stall_timeout_ms = 30000;
-  double rate_limit = 0;              // per-connection queries/sec
-  double rate_burst = 0;
-  double global_rate_limit = 0;
-  double global_rate_burst = 0;
-  size_t rate_limit_streak = 1024;    // consecutive limited frames -> drop
-  // Admission budgets (serve, serve-bench): 0 disables shedding.
-  size_t max_in_flight = 0;
-  size_t max_queue_depth = 0;
-  // loadgen pacing + capture:
-  size_t connections = 1;
-  double qps = 0;              // 0 = closed loop
-  double entity_fraction = 0;
-  uint64_t seed = 17;
-  std::string record_path;
-  std::string replay_path;
-  bool json = false;
-  // loadgen client I/O + adversary modes:
-  double io_timeout_ms = 30000;  // blocking-read budget; 0 = wait forever
-  std::string adversary;         // hostile mode; empty = normal loadgen
-  double duration_ms = 2000;     // adversary wall-clock budget
-  double write_interval_ms = 50; // adversary dribble pacing
-  // live ingest (serve --live) + append client:
-  bool live = false;
-  std::string model_path;      // ADTree for incremental scoring (optional;
-                               // without it, block-score ranking)
-  size_t publish_batch = 1;
-  size_t ingest_queue = 4096;
-  size_t append_count = 0;     // append: records to send (0 = all)
-  double wait_ms = 10000;      // append: bound on the publish wait
-  bool verify = false;         // append: query the last record back
-  long verify_from = -1;       // append: query every record from this index
-                               // up (crash-recovery re-verification)
-  // durable ingest (serve --live --wal-dir):
-  std::string wal_dir;         // write-ahead log directory; empty = acks
-                               // mean enqueued, not durable
-  size_t wal_segment_bytes = 4u << 20;
-  size_t wal_snapshot_every = 256;
-
-  serve::IngestOptions ToIngestOptions() const {
-    serve::IngestOptions o;
-    o.publish_batch = publish_batch;
-    o.max_queue_depth = ingest_queue;
-    return o;
-  }
-
-  serve::ServiceOptions ToServiceOptions() const {
-    serve::ServiceOptions o;
-    o.num_threads = query.threads;
-    if (query.no_cache) o.cache_capacity = 0;
-    o.max_in_flight = max_in_flight;
-    o.max_queue_depth = max_queue_depth;
-    return o;
-  }
-
-  serve::net::ServerOptions ToServerOptions() const {
-    serve::net::ServerOptions o;
-    o.port = port;
-    o.dispatch_threads = dispatch_threads;
-    o.max_batch = max_batch;
-    o.max_connections = max_connections;
-    o.drain_timeout_ms = drain_timeout_ms;
-    o.idle_timeout_ms = idle_timeout_ms;
-    o.min_read_bytes_per_sec = min_read_rate;
-    o.progress_window_ms = progress_window_ms;
-    o.max_out_buffer = max_out_buffer;
-    o.max_in_buffer = max_in_buffer;
-    o.so_sndbuf = sndbuf;
-    o.max_frame_payload = max_frame_bytes;
-    o.max_pending = max_pending;
-    o.write_stall_timeout_ms = write_stall_timeout_ms;
-    o.conn_rate_limit = rate_limit;
-    o.conn_rate_burst = rate_burst;
-    o.global_rate_limit = global_rate_limit;
-    o.global_rate_burst = global_rate_burst;
-    o.rate_limit_disconnect_streak = rate_limit_streak;
-    return o;
-  }
-
-  serve::net::AdversaryOptions ToAdversaryOptions(
-      serve::net::AdversaryMode mode) const {
-    serve::net::AdversaryOptions o;
-    o.port = port;
-    o.mode = mode;
-    o.connections = connections;
-    o.duration_ms = duration_ms;
-    o.write_interval_ms = write_interval_ms;
-    o.read_timeout_ms = io_timeout_ms;
-    o.seed = seed;
-    return o;
-  }
-
-  serve::net::LoadGenOptions ToLoadGenOptions() const {
-    serve::net::LoadGenOptions o;
-    o.port = port;
-    o.connections = connections;
-    o.num_queries = query.num_queries;
-    o.qps = qps;
-    o.certainty = query.certainty;
-    o.k = query.k;
-    o.deadline_ms = query.deadline_ms;
-    o.hot_set = query.hot_set;
-    o.entity_fraction = entity_fraction;
-    o.seed = seed;
-    o.read_timeout_ms = io_timeout_ms;
-    o.record_path = record_path;
-    o.replay_path = replay_path;
-    return o;
-  }
+/// The corpus an index-backed command loads: the dataset CSV and its
+/// resolution, as a binary index (preferred) or a ranked matches CSV.
+struct Corpus {
+  std::string in;
+  std::string matches;
+  std::string index_path;
 };
 
-ServeOptions ParseServeOptions(const Flags& flags, bool needs_corpus) {
-  ServeOptions options;
-  options.query =
-      needs_corpus ? ParseQueryOptions(flags) : ParseWorkloadShape(flags);
-  if (!needs_corpus && !flags.Has("queries")) {
-    options.query.num_queries = 1000;  // loadgen default; bench keeps 10000
+Corpus ParseCorpus(const Flags& flags) {
+  return {flags.Require("in"), flags.Get("matches"), flags.Get("index")};
+}
+
+/// Options of the commands that read a resolution (`index`, `query`,
+/// `graph`, `families`).
+struct QueryOptions {
+  Corpus corpus;
+  std::string out;  // index/graph output path
+  double certainty = 0.0;
+  size_t k = 0;
+  double deadline_ms = 0;  // per-query budget; 0 = none
+  std::optional<uint64_t> book_id;
+  size_t max_entities = 25;  // graph
+  size_t max_shown = 5;      // families
+};
+
+QueryOptions ParseQueryOptions(const Flags& flags) {
+  QueryOptions o;
+  o.certainty = ParseCertainty(flags, o.certainty);
+  o.k = flags.Get("k", o.k);
+  o.deadline_ms = flags.Get("deadline-ms", o.deadline_ms);
+  if (flags.Has("book-id")) o.book_id = flags.Get("book-id", uint64_t{0});
+  o.max_entities = flags.Get("max-entities", o.max_entities);
+  o.max_shown = flags.Get("max-shown", o.max_shown);
+  o.corpus = ParseCorpus(flags);
+  o.out = flags.Get("out");
+  return o;
+}
+
+/// `serve`: the flags only the CLI has, beside the library structs that
+/// every other serving knob parses into.
+struct ServeCommand {
+  Corpus corpus;
+  std::string port_file;   // write the bound port here once listening
+                           // (scripts find an ephemeral server without
+                           // racing)
+  bool live = false;       // accept appends (DESIGN.md §13)
+  std::string model_path;  // ADTree for incremental scoring (optional;
+                           // without it, block-score ranking)
+  std::string wal_dir;     // write-ahead log directory; empty = acks mean
+                           // enqueued, not durable
+  serve::ServiceOptions service;
+  serve::net::ServerOptions server;
+  serve::IngestOptions ingest;
+  serve::WalOptions wal;
+};
+
+ServeCommand ParseServe(const Flags& flags) {
+  ServeCommand c;
+  c.corpus = ParseCorpus(flags);
+  c.port_file = flags.Get("port-file");
+  c.live = flags.Has("live");
+  c.model_path = flags.Get("model");
+  c.wal_dir = flags.Get("wal-dir");
+
+  serve::ServiceOptions& s = c.service;
+  s.num_threads = flags.Get("threads", s.num_threads);
+  if (flags.Has("no-cache")) s.cache_capacity = 0;
+  s.max_in_flight = flags.Get("max-in-flight", s.max_in_flight);
+  s.max_queue_depth = flags.Get("max-queue-depth", s.max_queue_depth);
+
+  serve::net::ServerOptions& o = c.server;
+  o.port = flags.Get("port", o.port);
+  o.dispatch_threads = flags.Get("dispatch-threads", o.dispatch_threads);
+  o.max_batch = flags.Get("max-batch", o.max_batch);
+  o.max_connections = flags.Get("max-connections", o.max_connections);
+  o.drain_timeout_ms = flags.Get("drain-timeout-ms", o.drain_timeout_ms);
+  o.idle_timeout_ms = flags.Get("idle-timeout-ms", o.idle_timeout_ms);
+  o.min_read_bytes_per_sec =
+      flags.Get("min-read-rate", o.min_read_bytes_per_sec);
+  o.progress_window_ms =
+      flags.Get("progress-window-ms", o.progress_window_ms);
+  o.max_out_buffer = flags.Get("max-out-buffer", o.max_out_buffer);
+  o.max_in_buffer = flags.Get("max-in-buffer", o.max_in_buffer);
+  o.so_sndbuf = flags.Get("sndbuf", o.so_sndbuf);
+  o.max_frame_payload = flags.Get("max-frame-bytes", o.max_frame_payload);
+  o.max_pending = flags.Get("max-pending", o.max_pending);
+  o.write_stall_timeout_ms =
+      flags.Get("write-stall-timeout-ms", o.write_stall_timeout_ms);
+  o.conn_rate_limit = flags.Get("rate-limit", o.conn_rate_limit);
+  o.conn_rate_burst = flags.Get("rate-burst", o.conn_rate_burst);
+  o.global_rate_limit = flags.Get("global-rate-limit", o.global_rate_limit);
+  o.global_rate_burst = flags.Get("global-rate-burst", o.global_rate_burst);
+  o.rate_limit_disconnect_streak =
+      flags.Get("rate-limit-streak", o.rate_limit_disconnect_streak);
+
+  serve::IngestOptions& i = c.ingest;
+  i.publish_batch = flags.Get("publish-batch", i.publish_batch);
+  i.max_queue_depth = flags.Get("ingest-queue", i.max_queue_depth);
+  // The CLI's documented default: with --wal-dir, snapshot every 256
+  // appends (IngestOptions' own default, 0, never snapshots).
+  if (!c.wal_dir.empty()) i.snapshot_every = 256;
+  i.snapshot_every = flags.Get("wal-snapshot-every", i.snapshot_every);
+  c.wal.segment_bytes = flags.Get("wal-segment-bytes", c.wal.segment_bytes);
+  return c;
+}
+
+/// The flags `loadgen` and `append` share: both are wire clients of a
+/// running `serve`, so the port, the read budget and the query shape parse
+/// into the load generator's struct, which already defines them.
+serve::net::LoadGenOptions ParseClientOptions(const Flags& flags) {
+  serve::net::LoadGenOptions o;
+  o.certainty = ParseCertainty(flags, o.certainty);
+  o.k = flags.Get("k", o.k);
+  o.deadline_ms = flags.Get("deadline-ms", o.deadline_ms);
+  o.port = flags.Get("port", o.port);
+  o.read_timeout_ms = flags.Get("io-timeout-ms", o.read_timeout_ms);
+  return o;
+}
+
+/// `loadgen`: a load test, or with --adversary an attack.
+struct LoadGenCommand {
+  bool json = false;  // machine-readable report on stdout
+  serve::net::LoadGenOptions load;
+  std::optional<serve::net::AdversaryOptions> attack;  // set by --adversary
+};
+
+LoadGenCommand ParseLoadGen(const Flags& flags) {
+  LoadGenCommand c;
+  c.json = flags.Has("json");
+  c.load = ParseClientOptions(flags);
+  serve::net::LoadGenOptions& o = c.load;
+  o.connections = flags.Get("connections", o.connections);
+  o.num_queries = flags.Get("queries", o.num_queries);
+  o.qps = flags.Get("qps", o.qps);
+  o.hot_set = flags.Get("hot-set", o.hot_set);
+  o.entity_fraction = flags.Get("entity-fraction", o.entity_fraction);
+  o.seed = flags.Get("seed", o.seed);
+  o.record_path = flags.Get("record");
+  o.replay_path = flags.Get("replay");
+  std::string mode = flags.Get("adversary");
+  if (mode.empty()) return c;
+  auto parsed = serve::net::ParseAdversaryMode(mode);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+    std::exit(2);
   }
-  options.port = static_cast<uint16_t>(flags.GetInt("port", 0));
-  options.port_file = flags.Get("port-file");
-  options.dispatch_threads =
-      static_cast<size_t>(flags.GetInt("dispatch-threads", 1));
-  options.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 64));
-  options.max_connections =
-      static_cast<size_t>(flags.GetInt("max-connections", 1024));
-  options.drain_timeout_ms = flags.GetDouble("drain-timeout-ms", 5000);
-  options.idle_timeout_ms = flags.GetDouble("idle-timeout-ms", 300000);
-  options.min_read_rate = flags.GetDouble("min-read-rate", 64);
-  options.progress_window_ms =
-      flags.GetDouble("progress-window-ms", 5000);
-  options.max_out_buffer = static_cast<size_t>(
-      flags.GetInt("max-out-buffer", long{64u << 20}));
-  options.max_in_buffer = static_cast<size_t>(
-      flags.GetInt("max-in-buffer", long{64u << 20}));
-  options.sndbuf = static_cast<size_t>(flags.GetInt("sndbuf", 0));
-  options.max_frame_bytes =
-      static_cast<size_t>(flags.GetInt("max-frame-bytes", 0));
-  options.max_pending = static_cast<size_t>(flags.GetInt("max-pending", 0));
-  options.write_stall_timeout_ms =
-      flags.GetDouble("write-stall-timeout-ms", 30000);
-  options.rate_limit = flags.GetDouble("rate-limit", 0);
-  options.rate_burst = flags.GetDouble("rate-burst", 0);
-  options.global_rate_limit = flags.GetDouble("global-rate-limit", 0);
-  options.global_rate_burst = flags.GetDouble("global-rate-burst", 0);
-  options.rate_limit_streak =
-      static_cast<size_t>(flags.GetInt("rate-limit-streak", 1024));
-  options.max_in_flight =
-      static_cast<size_t>(flags.GetInt("max-in-flight", 0));
-  options.max_queue_depth =
-      static_cast<size_t>(flags.GetInt("max-queue-depth", 0));
-  options.connections = static_cast<size_t>(flags.GetInt("connections", 1));
-  options.qps = flags.GetDouble("qps", 0);
-  options.entity_fraction = flags.GetDouble("entity-fraction", 0);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 17));
-  options.record_path = flags.Get("record");
-  options.replay_path = flags.Get("replay");
-  options.json = flags.Has("json");
-  options.io_timeout_ms = flags.GetDouble("io-timeout-ms", 30000);
-  options.adversary = flags.Get("adversary");
-  options.duration_ms = flags.GetDouble("duration-ms", 2000);
-  options.write_interval_ms = flags.GetDouble("write-interval-ms", 50);
-  options.live = flags.Has("live") || flags.Has("watch-appends");
-  options.model_path = flags.Get("model");
-  options.publish_batch =
-      static_cast<size_t>(flags.GetInt("publish-batch", 1));
-  options.ingest_queue =
-      static_cast<size_t>(flags.GetInt("ingest-queue", 4096));
-  options.append_count = static_cast<size_t>(flags.GetInt("count", 0));
-  options.wait_ms = flags.GetDouble("wait-ms", 10000);
-  options.verify = flags.Has("verify");
-  options.verify_from = flags.GetInt("verify-from", -1);
-  options.wal_dir = flags.Get("wal-dir");
-  options.wal_segment_bytes = static_cast<size_t>(
-      flags.GetInt("wal-segment-bytes", long{4u << 20}));
-  options.wal_snapshot_every =
-      static_cast<size_t>(flags.GetInt("wal-snapshot-every", 256));
-  return options;
+  serve::net::AdversaryOptions& a = c.attack.emplace();
+  a.port = o.port;
+  a.mode = *parsed;
+  // --connections, --seed and --io-timeout-ms are loadgen's flags, with
+  // loadgen's documented defaults (1, 17, 30000), not AdversaryOptions'
+  // (4, 1, 10000).
+  a.connections = o.connections;
+  a.seed = o.seed;
+  a.read_timeout_ms = o.read_timeout_ms;
+  a.duration_ms = flags.Get("duration-ms", a.duration_ms);
+  a.write_interval_ms = flags.Get("write-interval-ms", a.write_interval_ms);
+  return c;
+}
+
+/// `append`: what to send and how to check it, beside the client options
+/// it shares with `loadgen`.
+struct AppendCommand {
+  std::string in;          // CSV of records to append
+  size_t count = 0;        // records to send (0 = all)
+  double wait_ms = 10000;  // bound on the publish wait
+  bool verify = false;     // query the last record back
+  std::optional<uint64_t> verify_from;  // query every record from this
+                                        // index up (crash recovery)
+  serve::net::LoadGenOptions client;
+};
+
+AppendCommand ParseAppend(const Flags& flags) {
+  AppendCommand c;
+  c.client = ParseClientOptions(flags);
+  c.in = flags.Require("in");
+  c.count = flags.Get("count", c.count);
+  c.wait_ms = flags.Get("wait-ms", c.wait_ms);
+  c.verify = flags.Has("verify");
+  if (flags.Has("verify-from")) {
+    c.verify_from = flags.Get("verify-from", uint64_t{0});
+  }
+  return c;
 }
 
 // Every serving knob, documented exactly once; printed by --help on
-// serve, serve-bench, and loadgen.
+// serve, loadgen, and append.
 constexpr const char kServeHelp[] =
-    "serving subcommands (shared flags parse into one ServeOptions):\n"
+    "serving subcommands:\n"
     "\n"
     "  serve       --in data.csv (--matches m.csv | --index idx.yvx)\n"
     "              binary TCP front end on 127.0.0.1; SIGINT/SIGTERM\n"
     "              drains in-flight queries before exiting\n"
-    "  serve-bench --in data.csv (--matches m.csv | --index idx.yvx)\n"
-    "              in-process batch benchmark (no socket)\n"
     "  loadgen     --port P\n"
     "              wire client driving a running `serve`\n"
     "  append      --port P --in new.csv\n"
     "              wire client streaming records into `serve --live`\n"
     "\n"
-    "corpus (serve, serve-bench):\n"
+    "corpus (serve):\n"
     "  --in F                dataset CSV (required)\n"
     "  --matches F           ranked matches CSV\n"
     "  --index F             binary resolution index (preferred)\n"
@@ -587,8 +548,8 @@ constexpr const char kServeHelp[] =
     "  --rate-limit-streak N consecutive limited frames before the\n"
     "                        connection is dropped (1024; 0 = never)\n"
     "\n"
-    "workload shape (serve-bench, loadgen):\n"
-    "  --queries N           total queries (10000 bench / 1000 loadgen)\n"
+    "workload shape (loadgen):\n"
+    "  --queries N           total queries (1000)\n"
     "  --certainty C         confidence threshold in [0,1) (0)\n"
     "  --k K                 top-k matches per query (0 = all)\n"
     "  --deadline-ms D       per-query budget; 0 = none\n"
@@ -616,7 +577,7 @@ constexpr const char kServeHelp[] =
     "live index updates (serve):\n"
     "  --live                accept kAppendRequest frames; a background\n"
     "                        builder publishes new index generations while\n"
-    "                        queries keep flowing (alias: --watch-appends)\n"
+    "                        queries keep flowing\n"
     "  --model F             ADTree for incremental match scoring\n"
     "                        (default: block-score ranking)\n"
     "  --publish-batch N     records applied per published generation (1)\n"
@@ -660,18 +621,18 @@ bool HasGroundTruth(const data::Dataset& dataset) {
   return false;
 }
 
-// Materializes the in-memory index from whichever artifact the options
-// name: the binary index (preferred) or the matches CSV.
+// Materializes the in-memory index from whichever artifact the corpus
+// names: the binary index (preferred) or the matches CSV.
 std::shared_ptr<const serve::ResolutionIndex> LoadIndexOrDie(
-    const data::Dataset& dataset, const QueryOptions& options) {
+    const data::Dataset& dataset, const Corpus& corpus) {
   // Load paths retry transient failures (a torn concurrent write shows up
   // as DATA_LOSS; NFS hiccups as UNAVAILABLE) before giving up.
   util::RetryStats retry_stats;
-  if (!options.index_path.empty()) {
+  if (!corpus.index_path.empty()) {
     // The record count is checked against the dataset before the index
     // sizes anything by it.
     auto loaded = serve::ResolutionIndex::LoadWithRetry(
-        options.index_path, util::RetryPolicy{}, &retry_stats,
+        corpus.index_path, util::RetryPolicy{}, &retry_stats,
         util::Deadline(), dataset.size());
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s (after %d attempt(s))\n",
@@ -681,12 +642,12 @@ std::shared_ptr<const serve::ResolutionIndex> LoadIndexOrDie(
     return std::make_shared<const serve::ResolutionIndex>(
         *std::move(loaded));
   }
-  if (options.matches.empty()) {
+  if (corpus.matches.empty()) {
     std::fprintf(stderr, "need --matches or --index\n");
     std::exit(2);
   }
   auto resolution = core::LoadMatchesCsvWithRetry(
-      dataset, options.matches, util::RetryPolicy{}, &retry_stats);
+      dataset, corpus.matches, util::RetryPolicy{}, &retry_stats);
   if (!resolution.ok()) {
     std::fprintf(stderr, "%s (after %d attempt(s))\n",
                  resolution.status().ToString().c_str(),
@@ -724,11 +685,9 @@ int CmdGenerate(const Flags& flags) {
                  region.c_str());
     return 2;
   }
-  config.num_persons = static_cast<size_t>(
-      flags.GetInt("persons", static_cast<long>(config.num_persons)));
+  config.num_persons = flags.Get("persons", config.num_persons);
   if (flags.Has("mv")) config.include_mv = true;
-  config.seed = static_cast<uint64_t>(
-      flags.GetInt("seed", static_cast<long>(config.seed)));
+  config.seed = flags.Get("seed", config.seed);
   auto generated = synth::Generate(config);
   std::string out = flags.Require("out");
   if (!data::SaveDatasetCsv(generated.dataset, out)) {
@@ -836,8 +795,8 @@ int CmdIndex(const QueryOptions& options) {
     std::fprintf(stderr, "missing required flag --out\n");
     return 2;
   }
-  data::Dataset dataset = LoadOrDie(options.in);
-  auto index = LoadIndexOrDie(dataset, options);
+  data::Dataset dataset = LoadOrDie(options.corpus.in);
+  auto index = LoadIndexOrDie(dataset, options.corpus);
   auto saved = index->Save(options.out);
   if (!saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());
@@ -852,8 +811,8 @@ int CmdIndex(const QueryOptions& options) {
 }
 
 int CmdQuery(const QueryOptions& options) {
-  data::Dataset dataset = LoadOrDie(options.in);
-  auto index = LoadIndexOrDie(dataset, options);
+  data::Dataset dataset = LoadOrDie(options.corpus.in);
+  auto index = LoadIndexOrDie(dataset, options.corpus);
   core::EntityClusters clusters = index->ClustersAt(options.certainty);
   std::printf("%zu matches above certainty %.2f -> %zu entities (%zu "
               "multi-report)\n",
@@ -868,7 +827,8 @@ int CmdQuery(const QueryOptions& options) {
     }
     serve::ResolutionService service(index);
     auto result = service.QueryRecord(
-        options.ToServeQuery(it->second, serve::Granularity::kEntity));
+        MakeQuery(it->second, serve::Granularity::kEntity, options.certainty,
+                  options.k, options.deadline_ms));
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
@@ -890,91 +850,6 @@ int CmdQuery(const QueryOptions& options) {
   return 0;
 }
 
-int CmdServeBench(const ServeOptions& serve_options) {
-  const QueryOptions& options = serve_options.query;
-  data::Dataset dataset = LoadOrDie(options.in);
-  auto index = LoadIndexOrDie(dataset, options);
-  if (index->num_records() == 0) {
-    std::fprintf(stderr, "empty corpus\n");
-    return 1;
-  }
-
-  // Workload: num_queries record lookups drawn from a hot subset of the
-  // corpus, so repeated queries exercise the cache the way production
-  // traffic (popular victims, shared pages) would.
-  size_t hot = std::min<size_t>(std::max<size_t>(1, options.hot_set),
-                                index->num_records());
-  util::Rng rng(17);
-  std::vector<serve::Query> workload;
-  workload.reserve(options.num_queries);
-  for (size_t i = 0; i < options.num_queries; ++i) {
-    auto record = static_cast<data::RecordIdx>(
-        rng.UniformInt(0, static_cast<int>(hot) - 1));
-    workload.push_back(
-        options.ToServeQuery(record, serve::Granularity::kMatches));
-  }
-
-  serve::ResolutionService service(index,
-                                   serve_options.ToServiceOptions());
-
-  // Baseline: the pre-index behaviour — one linear scan of the full match
-  // list per query (what `query` did per invocation before ResolutionIndex).
-  const auto& arena = index->matches();
-  util::Timer timer;
-  size_t linear_hits = 0;
-  for (const auto& query : workload) {
-    for (const auto& m : arena) {
-      if (!(m.confidence > query.certainty)) break;
-      if (m.pair.a == query.record || m.pair.b == query.record) {
-        ++linear_hits;
-        if (query.k != 0) break;  // k=0 collects all, mirroring ForRecord
-      }
-    }
-  }
-  double linear_ms = timer.ElapsedMillis();
-
-  timer.Reset();
-  auto cold = service.QueryBatch(workload);
-  double cold_ms = timer.ElapsedMillis();
-
-  timer.Reset();
-  auto warm = service.QueryBatch(workload);
-  double warm_ms = timer.ElapsedMillis();
-
-  auto metrics = service.metrics();
-  std::printf("corpus: %zu records, %zu matches; workload: %zu queries "
-              "over %zu hot records, certainty %.2f, %zu threads\n",
-              index->num_records(), index->num_matches(), workload.size(),
-              hot, options.certainty, service.num_threads());
-  if (options.deadline_ms > 0) {
-    std::printf("per-query deadline: %.2f ms (%llu exceeded, %llu shed, "
-                "%llu degraded)\n",
-                options.deadline_ms,
-                static_cast<unsigned long long>(cold.deadline_exceeded +
-                                                warm.deadline_exceeded),
-                static_cast<unsigned long long>(cold.shed + warm.shed),
-                static_cast<unsigned long long>(cold.degraded +
-                                                warm.degraded));
-  }
-  std::printf("linear scan   : %10.2f ms  (%.1f us/query, %zu match visits)\n",
-              linear_ms, 1000.0 * linear_ms / workload.size(), linear_hits);
-  std::printf("batch cold    : %10.2f ms  (%.1f us/query)\n", cold_ms,
-              1000.0 * cold_ms / workload.size());
-  std::printf("batch warm    : %10.2f ms  (%.1f us/query)\n", warm_ms,
-              1000.0 * warm_ms / workload.size());
-  std::printf("per-query latency: p50 %.3f ms  p95 %.3f ms  p99 %.3f ms "
-              "(log2-bucket upper bounds)\n",
-              metrics.LatencyPercentileMs(0.50),
-              metrics.LatencyPercentileMs(0.95),
-              metrics.LatencyPercentileMs(0.99));
-  std::printf("warm speedup vs linear scan: %.1fx  (cache hit rate %.1f%%, "
-              "%llu/%zu answered)\n",
-              warm_ms > 0 ? linear_ms / warm_ms : 0.0,
-              100.0 * metrics.HitRate(),
-              static_cast<unsigned long long>(warm.ok), warm.size());
-  return 0;
-}
-
 // ---------------------------------------------------------------------------
 // Wire serving: `serve` runs the TCP front end until SIGINT/SIGTERM,
 // `loadgen` drives one from the client side.
@@ -983,9 +858,9 @@ std::atomic<bool> g_stop_requested{false};
 
 void HandleStopSignal(int) { g_stop_requested.store(true); }
 
-int CmdServe(const ServeOptions& options) {
-  data::Dataset dataset = LoadOrDie(options.query.in);
-  auto index = LoadIndexOrDie(dataset, options.query);
+int CmdServe(ServeCommand options) {
+  data::Dataset dataset = LoadOrDie(options.corpus.in);
+  auto index = LoadIndexOrDie(dataset, options.corpus);
 
   // --live: seed an incremental resolver with exactly the corpus +
   // resolution the serving index was built over, and let a background
@@ -993,12 +868,9 @@ int CmdServe(const ServeOptions& options) {
   // resolver additionally replays the durable history (snapshot CSV, then
   // the log) before the first query is admitted, so every previously
   // ack'd record is served again (DESIGN.md §14).
+  serve::DurableIngest durable;
   std::shared_ptr<serve::LiveIndexBuilder> builder;
-  std::unique_ptr<serve::WriteAheadLog> wal;
-  size_t recovered_snapshot = 0;
-  size_t recovered_log = 0;
   std::unique_ptr<core::IncrementalResolver> resolver;
-  serve::IngestOptions ingest = options.ToIngestOptions();
   if (options.live) {
     ml::AdTree model;
     if (!options.model_path.empty()) {
@@ -1017,43 +889,15 @@ int CmdServe(const ServeOptions& options) {
         dataset, core::RankedResolution(index->matches()), std::move(model),
         synth::Gazetteer::MakeOwnedGeoResolver());
     if (!options.wal_dir.empty()) {
-      std::string snapshot_path = options.wal_dir + "/snapshot-appends.csv";
-      // Replay order is the determinism contract: snapshot rows first
-      // (they ARE the first appends, in arrival order), then every log
-      // record beyond what the snapshot covers.
-      if (::access(snapshot_path.c_str(), F_OK) == 0) {
-        auto snap = data::LoadDatasetCsvLenient(snapshot_path);
-        if (!snap.ok()) {
-          std::fprintf(stderr, "wal snapshot %s: %s\n", snapshot_path.c_str(),
-                       snap.status().ToString().c_str());
-          return 1;
-        }
-        for (const data::Record& r : snap->records()) resolver->AddRecord(r);
-        recovered_snapshot = snap->size();
-      }
-      serve::WalOptions wal_options;
-      wal_options.segment_bytes = options.wal_segment_bytes;
-      std::vector<serve::WalRecoveredRecord> recovered;
-      auto opened = serve::WriteAheadLog::Open(options.wal_dir, wal_options,
-                                              &recovered);
+      auto opened = serve::OpenDurableIngest(options.wal_dir, options.wal,
+                                             resolver.get(), &options.ingest);
       if (!opened.ok()) {
         std::fprintf(stderr, "wal recovery in %s: %s\n",
                      options.wal_dir.c_str(),
                      opened.status().ToString().c_str());
         return 1;
       }
-      wal = std::move(opened).value();
-      for (serve::WalRecoveredRecord& rec : recovered) {
-        // Sequences the snapshot covers are already in (their segments
-        // just haven't been retired yet).
-        if (rec.sequence <= recovered_snapshot) continue;
-        resolver->AddRecord(std::move(rec.record));
-        ++recovered_log;
-      }
-      ingest.wal = wal.get();
-      ingest.wal_base_records = dataset.size();
-      ingest.snapshot_every = options.wal_snapshot_every;
-      ingest.snapshot_path = snapshot_path;
+      durable = std::move(opened).value();
     }
     if (resolver->dataset().size() > dataset.size()) {
       // Serve the recovered corpus from generation 1: the index is a pure
@@ -1064,14 +908,14 @@ int CmdServe(const ServeOptions& options) {
     }
   }
 
-  auto service = std::make_shared<serve::ResolutionService>(
-      index, options.ToServiceOptions());
+  auto service =
+      std::make_shared<serve::ResolutionService>(index, options.service);
   if (options.live) {
     builder = std::make_shared<serve::LiveIndexBuilder>(
-        service, std::move(resolver), ingest);
+        service, std::move(resolver), options.ingest);
   }
 
-  serve::net::Server server(service, options.ToServerOptions(), builder);
+  serve::net::Server server(service, options.server, builder);
   auto started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "%s\n", started.ToString().c_str());
@@ -1093,19 +937,22 @@ int CmdServe(const ServeOptions& options) {
   std::printf("serving %zu records / %zu matches on 127.0.0.1:%u "
               "(%zu service thread(s), %zu dispatcher(s))\n",
               index->num_records(), index->num_matches(), server.port(),
-              service->num_threads(), options.dispatch_threads);
+              service->num_threads(), options.server.dispatch_threads);
+  const serve::IngestOptions& ingest = options.ingest;
   if (builder) {
     std::printf("live ingest on: appends publish every %zu record(s), "
                 "queue cap %zu\n",
-                options.publish_batch == 0 ? size_t{1} : options.publish_batch,
-                options.ingest_queue);
+                ingest.publish_batch == 0 ? size_t{1} : ingest.publish_batch,
+                ingest.max_queue_depth);
   }
-  if (wal) {
+  if (durable.wal) {
     std::printf("wal: recovered %zu record(s) (%zu from snapshot, %zu from "
                 "log) from %s; durable sequence %llu\n",
-                recovered_snapshot + recovered_log, recovered_snapshot,
-                recovered_log, options.wal_dir.c_str(),
-                static_cast<unsigned long long>(wal->durable_sequence()));
+                durable.from_snapshot + durable.from_log,
+                durable.from_snapshot, durable.from_log,
+                options.wal_dir.c_str(),
+                static_cast<unsigned long long>(
+                    durable.wal->durable_sequence()));
   }
   std::fflush(stdout);
 
@@ -1134,8 +981,8 @@ int CmdServe(const ServeOptions& options) {
                 static_cast<unsigned long long>(metrics.generation),
                 static_cast<unsigned long long>(ingest_stats.publish_failures));
   }
-  if (wal) {
-    auto wal_stats = wal->stats();
+  if (durable.wal) {
+    auto wal_stats = durable.wal->stats();
     std::printf("wal: %llu append(s) in %llu fsync batch(es), %llu "
                 "rotation(s), %llu segment(s) on disk, %llu snapshot(s)\n",
                 static_cast<unsigned long long>(wal_stats.appends),
@@ -1151,25 +998,20 @@ int CmdServe(const ServeOptions& options) {
 
 // loadgen --adversary MODE: run the hostile-client harness instead of a
 // load test, and report what the server's defense layer did about it.
-int CmdAdversary(const ServeOptions& options) {
-  auto mode = serve::net::ParseAdversaryMode(options.adversary);
-  if (!mode.ok()) {
-    std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-    return 2;
-  }
-  auto report = serve::net::RunAdversary(options.ToAdversaryOptions(*mode));
+int CmdAdversary(const serve::net::AdversaryOptions& options, bool json) {
+  auto report = serve::net::RunAdversary(options);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
   }
-  if (options.json) {
+  if (json) {
     std::printf(
         "{\"adversary\": \"%s\", \"connections_opened\": %llu, "
         "\"bytes_sent\": %llu, \"frames_sent\": %llu, "
         "\"responses_read\": %llu, \"ok_responses\": %llu, "
         "\"error_responses\": %llu, \"server_closed\": %llu, "
         "\"clean_eofs\": %llu}\n",
-        serve::net::AdversaryModeName(*mode),
+        serve::net::AdversaryModeName(options.mode),
         static_cast<unsigned long long>(report->connections_opened),
         static_cast<unsigned long long>(report->bytes_sent),
         static_cast<unsigned long long>(report->frames_sent),
@@ -1181,26 +1023,27 @@ int CmdAdversary(const ServeOptions& options) {
     return 0;
   }
   std::printf("%s\n",
-              serve::net::FormatAdversaryReport(*mode, *report).c_str());
+              serve::net::FormatAdversaryReport(options.mode, *report).c_str());
   return 0;
 }
 
-int CmdLoadGen(const ServeOptions& options) {
+int CmdLoadGen(const LoadGenCommand& command) {
+  const serve::net::LoadGenOptions& options = command.load;
   if (options.port == 0) {
     std::fprintf(stderr, "missing required flag --port\n");
     return 2;
   }
-  if (!options.adversary.empty()) return CmdAdversary(options);
+  if (command.attack) return CmdAdversary(*command.attack, command.json);
   if (!options.record_path.empty() && !options.replay_path.empty()) {
     std::fprintf(stderr, "--record and --replay are mutually exclusive\n");
     return 2;
   }
-  auto report = serve::net::RunLoadGen(options.ToLoadGenOptions());
+  auto report = serve::net::RunLoadGen(options);
   if (!report.ok()) {
     std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
     return 1;
   }
-  if (options.json) {
+  if (command.json) {
     std::printf(
         "{\"queries_sent\": %llu, \"ok\": %llu, \"errors\": %llu, "
         "\"wall_seconds\": %.6f, \"qps\": %.1f, "
@@ -1257,32 +1100,31 @@ int CmdLoadGen(const ServeOptions& options) {
 // the served generation contains every ack'd record — the end-to-end proof
 // the TSan loopback smoke runs: append over the wire, watch the generation
 // advance, query the new record back.
-int CmdAppend(const ServeOptions& options) {
-  if (options.port == 0) {
+int CmdAppend(const AppendCommand& options) {
+  const serve::net::LoadGenOptions& client_options = options.client;
+  if (client_options.port == 0) {
     std::fprintf(stderr, "missing required flag --port\n");
     return 2;
   }
-  data::Dataset dataset = LoadOrDie(options.query.in);
+  data::Dataset dataset = LoadOrDie(options.in);
   if (dataset.size() == 0) {
-    std::fprintf(stderr, "no records to append in %s\n",
-                 options.query.in.c_str());
+    std::fprintf(stderr, "no records to append in %s\n", options.in.c_str());
     return 1;
   }
-  size_t count = options.append_count == 0
-                     ? dataset.size()
-                     : std::min(options.append_count, dataset.size());
+  size_t count = options.count == 0 ? dataset.size()
+                                    : std::min(options.count, dataset.size());
   util::Deadline deadline = options.wait_ms > 0
                                 ? util::Deadline::AfterMillis(options.wait_ms)
                                 : util::Deadline();
 
-  auto client = serve::net::Client::Connect(options.port);
+  auto client = serve::net::Client::Connect(client_options.port);
   if (!client.ok()) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
   }
   // A wedged server must fail the append run with a typed status, not
   // hang it: every blocking read below inherits this budget.
-  client->set_read_timeout_ms(options.io_timeout_ms);
+  client->set_read_timeout_ms(client_options.read_timeout_ms);
   uint64_t first_idx = 0;
   uint64_t last_idx = 0;
   size_t durable_acks = 0;
@@ -1341,11 +1183,18 @@ int CmdAppend(const ServeOptions& options) {
                 static_cast<unsigned long long>(last_wal_sequence));
   }
 
+  // A verify query has the shape --certainty, --k and --deadline-ms give.
+  auto verify_query = [&client_options](uint64_t idx) {
+    return MakeQuery(static_cast<data::RecordIdx>(idx),
+                     serve::Granularity::kMatches, client_options.certainty,
+                     client_options.k, client_options.deadline_ms);
+  };
+
   // --verify-from I: the crash-recovery check. Every corpus index in
   // [I, num_records) — typically the records a previous process ack'd
   // before being killed — must still answer OK from the recovered index.
-  if (options.verify_from >= 0) {
-    uint64_t from = static_cast<uint64_t>(options.verify_from);
+  if (options.verify_from) {
+    uint64_t from = *options.verify_from;
     if (from >= info.num_records) {
       std::fprintf(stderr,
                    "verify-from %llu is beyond the %llu-record corpus\n",
@@ -1354,8 +1203,7 @@ int CmdAppend(const ServeOptions& options) {
       return 1;
     }
     for (uint64_t idx = from; idx < info.num_records; ++idx) {
-      auto result = client->Call(options.query.ToServeQuery(
-          static_cast<data::RecordIdx>(idx), serve::Granularity::kMatches));
+      auto result = client->Call(verify_query(idx));
       if (!result.ok()) {
         std::fprintf(stderr, "verify-from: record %llu: %s\n",
                      static_cast<unsigned long long>(idx),
@@ -1371,9 +1219,7 @@ int CmdAppend(const ServeOptions& options) {
   }
 
   if (options.verify) {
-    auto result = client->Call(options.query.ToServeQuery(
-        static_cast<data::RecordIdx>(last_idx),
-        serve::Granularity::kMatches));
+    auto result = client->Call(verify_query(last_idx));
     if (!result.ok()) {
       std::fprintf(stderr, "verify query: %s\n",
                    result.status().ToString().c_str());
@@ -1382,7 +1228,7 @@ int CmdAppend(const ServeOptions& options) {
     std::printf("verify: record %llu answers with %zu match(es) above "
                 "certainty %.2f (generation %llu)\n",
                 static_cast<unsigned long long>(last_idx),
-                result->matches.size(), options.query.certainty,
+                result->matches.size(), client_options.certainty,
                 static_cast<unsigned long long>(result->generation));
   }
   return 0;
@@ -1395,8 +1241,8 @@ int CmdSample(const Flags& flags) {
     result = data::FilterByCountry(result, flags.Get("country"));
   }
   if (flags.Has("fraction")) {
-    double fraction = flags.GetDouble("fraction", 1.0);
-    util::Rng rng(static_cast<uint64_t>(flags.GetInt("seed", 42)));
+    double fraction = flags.Get("fraction", 1.0);
+    util::Rng rng(flags.Get("seed", uint64_t{42}));
     result = flags.Has("by-entity")
                  ? data::SampleByEntity(result, fraction, rng)
                  : data::SampleUniform(result, fraction, rng);
@@ -1416,8 +1262,8 @@ int CmdGraph(const QueryOptions& options) {
     std::fprintf(stderr, "missing required flag --out\n");
     return 2;
   }
-  data::Dataset dataset = LoadOrDie(options.in);
-  auto index = LoadIndexOrDie(dataset, options);
+  data::Dataset dataset = LoadOrDie(options.corpus.in);
+  auto index = LoadIndexOrDie(dataset, options.corpus);
   core::EntityClusters clusters = index->ClustersAt(options.certainty);
   auto graph = core::KnowledgeGraph::FromClusters(dataset, clusters,
                                                   options.max_entities);
@@ -1436,8 +1282,8 @@ int CmdGraph(const QueryOptions& options) {
 }
 
 int CmdFamilies(const QueryOptions& options) {
-  data::Dataset dataset = LoadOrDie(options.in);
-  auto index = LoadIndexOrDie(dataset, options);
+  data::Dataset dataset = LoadOrDie(options.corpus.in);
+  auto index = LoadIndexOrDie(dataset, options.corpus);
   core::EntityClusters persons = index->ClustersAt(options.certainty);
   auto families = core::ResolveFamilies(dataset, persons);
   size_t multi = 0;
@@ -1469,7 +1315,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: yver_cli "
                "<generate|stats|normalize|resolve|index|query|serve|"
-               "serve-bench|loadgen|append|sample|graph|families> "
+               "loadgen|append|sample|graph|families> "
                "[flags]\n(see the header of tools/yver_cli.cc; "
                "`yver_cli serve --help` covers the serving knobs)\n");
   return 2;
@@ -1485,8 +1331,7 @@ int main(int argc, char** argv) {
     return 0;
   }
   Flags flags(argc, argv, 2);
-  bool serving = cmd == "serve" || cmd == "serve-bench" ||
-                 cmd == "loadgen" || cmd == "append";
+  bool serving = cmd == "serve" || cmd == "loadgen" || cmd == "append";
   if (flags.Has("help")) {
     if (serving) {
       std::fputs(kServeHelp, stdout);
@@ -1501,12 +1346,9 @@ int main(int argc, char** argv) {
   if (cmd == "resolve") return CmdResolve(ParseResolveOptions(flags));
   if (cmd == "index") return CmdIndex(ParseQueryOptions(flags));
   if (cmd == "query") return CmdQuery(ParseQueryOptions(flags));
-  if (cmd == "serve") return CmdServe(ParseServeOptions(flags, true));
-  if (cmd == "serve-bench") {
-    return CmdServeBench(ParseServeOptions(flags, true));
-  }
-  if (cmd == "loadgen") return CmdLoadGen(ParseServeOptions(flags, false));
-  if (cmd == "append") return CmdAppend(ParseServeOptions(flags, true));
+  if (cmd == "serve") return CmdServe(ParseServe(flags));
+  if (cmd == "loadgen") return CmdLoadGen(ParseLoadGen(flags));
+  if (cmd == "append") return CmdAppend(ParseAppend(flags));
   if (cmd == "sample") return CmdSample(flags);
   if (cmd == "graph") return CmdGraph(ParseQueryOptions(flags));
   if (cmd == "families") return CmdFamilies(ParseQueryOptions(flags));
